@@ -9,26 +9,25 @@ without scraping the human-readable table.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
-from multiprocessing import Pool
 
-from .benchgen import (
-    LpnConfig,
-    UrqConfig,
-    gen_lpn,
-    gen_urquhart,
-)
-from .bdd import Bdd
+from .bdd import Bdd, BddCapacityError
 from .formula import DimacsError, extract_xors, parse_dimacs, write_dimacs
 from .gauss import ParityEngine
 from .lrat import DEFAULT_MAX_PROOF_CLAUSES, check, parse_proof
-from .solver import LIMIT, SAT, UNSAT, Solver
+from .solver import LIMIT, SAT, UNSAT, SolveResult, Solver
+from .tbdd import ProofEngineError
 
 EXIT_CODES = {SAT: 10, UNSAT: 20, LIMIT: 30}
 BENCH_TIMEOUT = 10.0
+# Internal failures of a solve: reported as status ERROR with the exception
+# class as stop_reason, a one-line diagnostic and exit 1, never a traceback.
+ERROR = "ERROR"
+ENGINE_ERRORS = (RecursionError, ProofEngineError, BddCapacityError)
 
 
 def _env_seed() -> int:
@@ -78,6 +77,17 @@ def run_report(name: str, res, timeout, mode: str) -> dict:
 # -- solve ------------------------------------------------------------------
 
 
+def _run_solver(solver) -> SolveResult:
+    """solver.solve(), with an engine failure turned into an ERROR result
+    and a one-line diagnostic on stderr."""
+    t0 = time.monotonic()
+    try:
+        return solver.solve()
+    except ENGINE_ERRORS as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return SolveResult(ERROR, elapsed=time.monotonic() - t0, stop_reason=type(e).__name__)
+
+
 def cmd_solve(args) -> int:
     try:
         with open(args.cnf) as fh:
@@ -92,24 +102,30 @@ def cmd_solve(args) -> int:
         except (OSError, ValueError) as e:
             print(f"error: bad variable order file: {e}", file=sys.stderr)
             return 1
-    sink = open(args.proof, "w") if args.proof else None
-    try:
-        s = Solver(
-            f,
-            use_xor=not args.no_xor,
-            proof_sink=sink,
-            max_proof_clauses=args.max_proof_clauses,
-            var_order=var_order,
-            timeout=args.timeout,
-            seed=args.seed if args.seed is not None else _env_seed(),
-        )
-        res = s.solve()
-    except AssertionError as e:
-        print(f"error: internal invariant violated: {e}", file=sys.stderr)
+    with open(args.proof, "w") if args.proof else contextlib.nullcontext() as sink:
+        try:
+            s = Solver(
+                f,
+                use_xor=not args.no_xor,
+                proof_sink=sink,
+                max_proof_clauses=args.max_proof_clauses,
+                var_order=var_order,
+                timeout=args.timeout,
+            )
+        except ValueError as e:
+            print(f"error: bad variable order file: {e}", file=sys.stderr)
+            return 1
+        try:
+            res = _run_solver(s)
+        except AssertionError as e:
+            print(f"error: internal invariant violated: {e}", file=sys.stderr)
+            return 1
+    if args.report:
+        rep = run_report(args.cnf, res, args.timeout, "no-xor" if args.no_xor else "xor")
+        with open(args.report, "a") as fh:
+            fh.write(json.dumps(rep) + "\n")
+    if res.status == ERROR:
         return 1
-    finally:
-        if sink is not None:
-            sink.close()
     print(
         {
             SAT: "s SATISFIABLE",
@@ -120,10 +136,6 @@ def cmd_solve(args) -> int:
     if res.status == SAT:
         lits = sorted(res.model, key=abs)
         print("v " + " ".join(str(l) for l in lits) + " 0")
-    if args.report:
-        rep = run_report(args.cnf, res, args.timeout, "no-xor" if args.no_xor else "xor")
-        with open(args.report, "a") as fh:
-            fh.write(json.dumps(rep) + "\n")
     return EXIT_CODES[res.status]
 
 
@@ -155,6 +167,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .benchgen import LpnConfig, UrqConfig, gen_lpn, gen_urquhart
+
     seed = args.seed if args.seed is not None else _env_seed()
     try:
         if args.family == "urquhart":
@@ -186,6 +200,8 @@ def cmd_gen(args) -> int:
 def _bench_task(task):
     """Generate, solve, and (for refutations) check one instance in one
     mode.  Shaped for a worker pool, so everything crosses as plain data."""
+    from .benchgen import LpnConfig, UrqConfig, gen_lpn, gen_urquhart
+
     family, params, seed, use_xor, timeout, check_proofs = task
     if family == "urq":
         inst = gen_urquhart(UrqConfig(m=params["m"], p=params["p"], seed=seed))
@@ -205,13 +221,15 @@ def _bench_task(task):
     from io import StringIO
 
     sink = StringIO()
-    res = Solver(
-        inst.formula,
-        use_xor=use_xor,
-        proof_sink=sink,
-        var_order=var_order,
-        timeout=timeout,
-    ).solve()
+    res = _run_solver(
+        Solver(
+            inst.formula,
+            use_xor=use_xor,
+            proof_sink=sink,
+            var_order=var_order,
+            timeout=timeout,
+        )
+    )
     rep = run_report(name, res, timeout, "xor" if use_xor else "no-xor")
     rep["verified"] = None
     if check_proofs and res.status == UNSAT:
@@ -254,6 +272,8 @@ def cmd_bench(args) -> int:
         print("no instances")
         return 0
     if args.jobs > 1:
+        from multiprocessing import Pool
+
         with Pool(args.jobs) as pool:
             reports = pool.map(_bench_task, tasks)
     else:
@@ -276,8 +296,9 @@ def cmd_bench(args) -> int:
         with open(args.report, "a") as fh:
             for rep in reports:
                 fh.write(json.dumps(rep) + "\n")
-    bad = [r for r in reports if r["verified"] is False]
-    return 2 if bad else 0
+    if any(r["verified"] is False for r in reports):
+        return 2
+    return 1 if any(r["status"] == ERROR for r in reports) else 0
 
 
 # -- debug dumps ------------------------------------------------------------
@@ -333,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("cnf")
     sp.add_argument("--proof", help="write an LRAT proof here")
     sp.add_argument("--no-xor", action="store_true", help="disable parity reasoning")
-    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--max-proof-clauses", type=int, default=DEFAULT_MAX_PROOF_CLAUSES)
     sp.add_argument("--timeout", type=float, default=None)
     sp.add_argument("--var-order", help="file with a variable permutation")

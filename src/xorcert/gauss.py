@@ -73,7 +73,6 @@ class ParityEngine:
         self.value: dict[int, bool] = {}
         self.watches: dict[int, set[int]] = {}   # var -> rows watching it
         self.row_watch: list[tuple[int, int] | None] = [None] * len(self.rows)
-        self._watched_started = False
 
     @property
     def num_rows(self) -> int:
@@ -156,7 +155,6 @@ class ParityEngine:
     def start_watches(self) -> list[ReasonRecord]:
         """Install watches on every live row; returns the records already
         forced with nothing assigned (empty and unit rows)."""
-        self._watched_started = True
         out = []
         for r, m in enumerate(self.rows):
             width = m.bit_count()

@@ -14,6 +14,15 @@ the initial constraints summing to the row, those constraints' trusted
 BDDs are summed (cached per row until the row changes), and the reason
 clause is emitted with a single hinted step before the solver relies on
 it.  A top-level conflict closes the proof with the empty clause.
+
+State layout (MiniSat's): assignment, levels, reasons and watches live in
+flat lists, not dicts.  `lval[lit]` is True, False or None for every literal
+of the n variables; it has 2n+1 slots, so Python's negative indexing puts
+-v at slot 2n+1-v, disjoint from the slots 1..n of the positive literals
+(2n slots would alias -n with n).  `watches` has the same shape and holds
+the `_Clause` objects watching each literal.  `levels`, `reason_lits` and
+`reason_pid` are indexed by variable and are only meaningful while the
+variable is assigned; backtracking clears `lval` and leaves the rest stale.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from .formula import CnfFormula, extract_xors, lit_var
+from .formula import CnfFormula, extract_xors
 from .gauss import CONFLICT, ParityEngine
 from .lrat import DEFAULT_MAX_PROOF_CLAUSES, ProofLimitExceeded, ProofWriter
 from .tbdd import TbddEngine
@@ -70,13 +79,12 @@ class SolveResult:
 
 
 class _Clause:
-    __slots__ = ("lits", "w", "pid", "learned")
+    __slots__ = ("lits", "w", "pid")
 
-    def __init__(self, lits, pid, learned):
+    def __init__(self, lits, pid):
         self.lits = tuple(lits)
         self.w = list(lits)
         self.pid = pid
-        self.learned = learned
 
 
 class Solver:
@@ -90,34 +98,35 @@ class Solver:
         max_proof_clauses: int = DEFAULT_MAX_PROOF_CLAUSES,
         var_order=None,
         timeout: float | None = None,
-        seed: int | None = None,
     ):
         self.f = formula
         self.use_xor = use_xor
         self.max_xor_arity = max_xor_arity
         self.timeout = timeout
-        self.seed = seed  # accepted for reproducibility plumbing; search is deterministic
         n = formula.num_vars
         if var_order is None:
             self.order = list(range(1, n + 1))
         else:
             self.order = list(var_order)
-            assert sorted(self.order) == list(range(1, n + 1)), "order must permute the variables"
+            if sorted(self.order) != list(range(1, n + 1)):
+                raise ValueError(
+                    f"not a permutation of 1..{n} ({len(self.order)} entries)"
+                )
         self.writer = None
         if proof_sink is not None:
             self.writer = ProofWriter(proof_sink, formula.num_clauses, max_proof_clauses)
-        # assignment state
-        self.assign: dict[int, bool] = {}
-        self.levels: dict[int, int] = {}
-        self.reason_lits: dict[int, tuple | None] = {}
-        self.reason_pid: dict[int, int | None] = {}
+        # assignment state: lval by literal, the rest by variable
+        self.lval: list[bool | None] = [None] * (2 * n + 1)
+        self.levels: list[int] = [0] * (n + 1)
+        self.reason_lits: list[tuple | None] = [None] * (n + 1)
+        self.reason_pid: list[int | None] = [None] * (n + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.ghead = 0
-        # clause store
-        self.db: list[_Clause] = []
-        self.watchlist: dict[int, list[int]] = {}
+        # clause store: a clause of two or more literals lives in the watch
+        # lists of its first two `w` entries
+        self.watches: list[list[_Clause]] = [[] for _ in range(2 * n + 1)]
         # heuristics
         self.activity = [0.0] * (n + 1)
         self.var_inc = 1.0
@@ -145,38 +154,38 @@ class Solver:
     def level(self) -> int:
         return len(self.trail_lim)
 
-    def _val(self, lit):
-        v = self.assign.get(lit_var(lit))
-        if v is None:
-            return None
-        return v == (lit > 0)
-
     def _enqueue(self, lit, rlits, rpid):
-        v = lit_var(lit)
-        assert v not in self.assign
-        self.assign[v] = lit > 0
-        self.levels[v] = self.level
+        lval = self.lval
+        assert lval[lit] is None
+        lval[lit] = True
+        lval[-lit] = False
+        v = lit if lit > 0 else -lit
+        self.levels[v] = len(self.trail_lim)
         self.reason_lits[v] = rlits
         self.reason_pid[v] = rpid
         self.trail.append(lit)
 
     def _backtrack(self, lvl):
+        trail = self.trail
+        lval = self.lval
+        saved_phase = self.saved_phase
+        activity = self.activity
+        heap = self.heap
+        par = self.par
+        ghead = self.ghead
         keep = self.trail_lim[lvl]
-        for idx in range(len(self.trail) - 1, keep - 1, -1):
-            lit = self.trail[idx]
-            v = lit_var(lit)
-            self.saved_phase[v] = lit > 0
-            del self.assign[v]
-            del self.levels[v]
-            self.reason_lits.pop(v, None)
-            self.reason_pid.pop(v, None)
-            if self.par is not None and idx < self.ghead:
-                self.par.on_unassign(v)
-            heapq.heappush(self.heap, (-self.activity[v], v))
-        del self.trail[keep:]
+        for idx in range(len(trail) - 1, keep - 1, -1):
+            lit = trail[idx]
+            v = lit if lit > 0 else -lit
+            saved_phase[v] = lit > 0
+            lval[lit] = lval[-lit] = None
+            if par is not None and idx < ghead:
+                par.on_unassign(v)
+            heapq.heappush(heap, (-activity[v], v))
+        del trail[keep:]
         del self.trail_lim[lvl:]
-        self.qhead = len(self.trail)
-        self.ghead = min(self.ghead, len(self.trail))
+        self.qhead = len(trail)
+        self.ghead = min(ghead, len(trail))
 
     def _bump(self, v):
         self.activity[v] += self.var_inc
@@ -189,24 +198,21 @@ class Solver:
     def _decide(self):
         while self.heap:
             _, v = heapq.heappop(self.heap)
-            if v not in self.assign:
+            if self.lval[v] is None:
                 return v if self.saved_phase[v] else -v
         return None
 
     # -- clause store --------------------------------------------------------
 
-    def _attach(self, ci):
-        cl = self.db[ci]
+    def _attach(self, cl):
         for lit in cl.w[:2]:
-            self.watchlist.setdefault(lit, []).append(ci)
+            self.watches[lit].append(cl)
 
     def _add_input_clauses(self):
         for cid in range(1, self.f.num_clauses + 1):
             lits = self.f.clause(cid)
-            ci = len(self.db)
-            self.db.append(_Clause(lits, cid, learned=False))
             if len(lits) >= 2:
-                self._attach(ci)
+                self._attach(_Clause(lits, cid))
 
     # -- parity preparation --------------------------------------------------
 
@@ -271,54 +277,74 @@ class Solver:
         """Clausal propagation to fixpoint, then one parity pass over the
         newly assigned suffix; alternate until a joint fixpoint or a
         conflict.  Returns (clause_lits, proof_id) on conflict else None."""
+        trail = self.trail
+        lval = self.lval
+        watches = self.watches
+        levels = self.levels
+        reason_lits = self.reason_lits
+        reason_pid = self.reason_pid
+        lvl = len(self.trail_lim)
         while True:
-            while self.qhead < len(self.trail):
-                p = self.trail[self.qhead]
-                self.qhead += 1
-                self.propagations += 1
+            qhead = self.qhead
+            props = 0
+            confl = None
+            while qhead < len(trail):
+                p = trail[qhead]
+                qhead += 1
+                props += 1
                 falsified = -p
-                ws = self.watchlist.get(falsified)
+                ws = watches[falsified]
                 if not ws:
                     continue
                 kept = []
                 i = 0
-                confl = None
-                while i < len(ws):
-                    ci = ws[i]
+                n_ws = len(ws)
+                while i < n_ws:
+                    cl = ws[i]
                     i += 1
-                    w = self.db[ci].w
+                    w = cl.w
                     if w[0] == falsified:
-                        w[0], w[1] = w[1], w[0]
-                    if self._val(w[0]) is True:
-                        kept.append(ci)
+                        w[0], w[1] = w[1], falsified
+                    first = w[0]
+                    fv = lval[first]
+                    if fv is True:
+                        kept.append(cl)
                         continue
-                    moved = False
                     for k in range(2, len(w)):
-                        if self._val(w[k]) is not False:
-                            w[1], w[k] = w[k], w[1]
-                            self.watchlist.setdefault(w[1], []).append(ci)
-                            moved = True
+                        other = w[k]
+                        if lval[other] is not False:
+                            w[1] = other
+                            w[k] = falsified
+                            watches[other].append(cl)
                             break
-                    if moved:
-                        continue
-                    kept.append(ci)
-                    if self._val(w[0]) is False:
-                        confl = ci
-                        kept.extend(ws[i:])
-                        break
-                    cl = self.db[ci]
-                    self._enqueue(w[0], cl.lits, cl.pid)
-                self.watchlist[falsified] = kept
+                    else:
+                        kept.append(cl)
+                        if fv is False:
+                            confl = cl
+                            kept.extend(ws[i:])
+                            break
+                        # enqueue `first` with this clause as its reason
+                        lval[first] = True
+                        lval[-first] = False
+                        v = first if first > 0 else -first
+                        levels[v] = lvl
+                        reason_lits[v] = cl.lits
+                        reason_pid[v] = cl.pid
+                        trail.append(first)
+                watches[falsified] = kept
                 if confl is not None:
-                    cl = self.db[confl]
-                    return cl.lits, cl.pid
-            if self.par is None or self.ghead >= len(self.trail):
+                    break
+            self.qhead = qhead
+            self.propagations += props
+            if confl is not None:
+                return confl.lits, confl.pid
+            if self.par is None or self.ghead >= len(trail):
                 return None
-            limit = len(self.trail)
+            limit = len(trail)
             while self.ghead < limit:
-                p = self.trail[self.ghead]
+                p = trail[self.ghead]
                 self.ghead += 1
-                for rec in self.par.on_assign(lit_var(p), p > 0):
+                for rec in self.par.on_assign(p if p > 0 else -p, p > 0):
                     out = self._handle_record(rec)
                     if out is not None:
                         return out
@@ -330,7 +356,7 @@ class Solver:
         if rec.kind == CONFLICT:
             return rec.clause, pid
         lit = rec.clause[0]
-        val = self._val(lit)
+        val = self.lval[lit]
         if val is True:
             return None
         if val is False:
@@ -341,39 +367,44 @@ class Solver:
     # -- conflict analysis ---------------------------------------------------
 
     def _analyze(self, confl_lits, confl_pid):
-        lvl = self.level
+        trail = self.trail
+        levels = self.levels
+        reason_lits = self.reason_lits
+        reason_pid = self.reason_pid
+        bump = self._bump
+        lvl = len(self.trail_lim)
         seen = set()
         tail = []
         resolved = []
         counter = 0
         cur = confl_lits
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         while True:
             for q in cur:
-                v = lit_var(q)
+                v = q if q > 0 else -q
                 if v in seen:
                     continue
                 seen.add(v)
-                self._bump(v)
-                if self.levels[v] == lvl:
+                bump(v)
+                if levels[v] == lvl:
                     counter += 1
                 else:
                     tail.append(q)
             assert counter > 0, "conflict clause must touch the current level"
-            while lit_var(self.trail[idx]) not in seen:
+            while abs(trail[idx]) not in seen:
                 idx -= 1
-            p = self.trail[idx]
-            v = lit_var(p)
+            p = trail[idx]
+            v = p if p > 0 else -p
             counter -= 1
             if counter == 0:
                 uip = p
                 break
-            resolved.append((idx, self.reason_pid[v]))
-            cur = [q for q in self.reason_lits[v] if q != p]
+            resolved.append((idx, reason_pid[v]))
+            cur = [q for q in reason_lits[v] if q != p]
             idx -= 1
-        tail.sort(key=lambda q: -self.levels[lit_var(q)])
+        tail.sort(key=lambda q: -levels[abs(q)])
         learned = (-uip,) + tuple(tail)
-        bj = self.levels[lit_var(tail[0])] if tail else 0
+        bj = levels[abs(tail[0])] if tail else 0
         resolved.sort()
         hints = [pid for _, pid in resolved] + [confl_pid]
         return learned, bj, hints
@@ -383,16 +414,16 @@ class Solver:
         of the conflict's transitive support, in trail order."""
         if self.writer is None:
             return
-        need = {lit_var(q) for q in confl_lits}
+        need = {abs(q) for q in confl_lits}
         picked = []
         for idx in range(len(self.trail) - 1, -1, -1):
-            v = lit_var(self.trail[idx])
+            v = abs(self.trail[idx])
             if v not in need:
                 continue
             rl = self.reason_lits[v]
             assert rl is not None, "top-level literals always carry reasons"
             picked.append((idx, self.reason_pid[v]))
-            need.update(lit_var(q) for q in rl)
+            need.update(abs(q) for q in rl)
         picked.sort()
         self.writer.add((), [pid for _, pid in picked] + [confl_pid])
 
@@ -403,9 +434,7 @@ class Solver:
         self.learned_count += 1
         if len(learned) == 1:
             return learned[0], learned, pid
-        ci = len(self.db)
-        self.db.append(_Clause(learned, pid, learned=True))
-        self._attach(ci)
+        self._attach(_Clause(learned, pid))
         return learned[0], learned, pid
 
     # -- top level -----------------------------------------------------------
@@ -423,16 +452,17 @@ class Solver:
                 if self.writer is not None:
                     self.writer.add((), [cid])
                 return UNSAT
-        for ci, cl in enumerate(self.db):
-            if len(cl.lits) == 1:
-                lit = cl.lits[0]
-                val = self._val(lit)
+        for cid in range(1, self.f.num_clauses + 1):
+            lits = self.f.clause(cid)
+            if len(lits) == 1:
+                lit = lits[0]
+                val = self.lval[lit]
                 if val is False:
                     if self.writer is not None:
-                        self._derive_empty(cl.lits, cl.pid)
+                        self._derive_empty(lits, cid)
                     return UNSAT
                 if val is None:
-                    self._enqueue(lit, cl.lits, cl.pid)
+                    self._enqueue(lit, lits, cid)
         if self.par is not None:
             for rec in self.par.start_watches():
                 pid = self._justify(rec)
@@ -451,7 +481,7 @@ class Solver:
             self._derive_empty(rec.clause, pid)
             return UNSAT
         lit = rec.clause[0]
-        val = self._val(lit)
+        val = self.lval[lit]
         if val is True:
             return None
         if val is False:
@@ -461,10 +491,11 @@ class Solver:
         return None
 
     def _verify_model(self):
-        asg = {v: self.assign[v] for v in self.assign}
+        lval = self.lval
+        asg = {v: lval[v] for v in range(1, self.f.num_vars + 1) if lval[v] is not None}
         for cid in range(1, self.f.num_clauses + 1):
             lits = self.f.clause(cid)
-            assert any(asg[lit_var(l)] == (l > 0) for l in lits), f"model misses clause {cid}"
+            assert any(lval[l] for l in lits), f"model misses clause {cid}"
         for con in self.xors:
             assert con.satisfied_by(asg), f"model violates recovered constraint {con}"
         return sorted((v if asg[v] else -v) for v in range(1, self.f.num_vars + 1))

@@ -9,6 +9,8 @@ import json
 import pytest
 
 from xorcert import cli
+from xorcert.bdd import BddCapacityError
+from xorcert.tbdd import ProofEngineError
 
 # Three parity constraints on x1..x3, grouped so recovery order is fixed:
 # x1+x2=1, x1+x3=0, x1+x2+x3=1.
@@ -105,6 +107,63 @@ class TestPipelines:
         rc = cli.main(["gen", "urquhart", "-m", "2", "-o", str(tmp_path / "x.cnf")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestSolveInputErrors:
+    def test_short_var_order_file(self, tmp_path, capsys):
+        cnf = str(tmp_path / "u3.cnf")
+        cli.main(["gen", "urquhart", "-m", "3", "--seed", "7", "-o", cnf])
+        order = write(tmp_path / "short.order", "1 2 3\n")
+        capsys.readouterr()
+        assert cli.main(["solve", cnf, "--var-order", order]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad variable order file: ")
+        assert len(err.splitlines()) == 1
+
+
+ENGINE_FAILURES = [
+    RecursionError("maximum recursion depth exceeded"),
+    ProofEngineError("implication failure: 7 -> 9"),
+    BddCapacityError("node id space exhausted"),
+]
+
+
+def fail_solves(monkeypatch, exc):
+    def boom(self):
+        raise exc
+
+    monkeypatch.setattr(cli.Solver, "solve", boom)
+
+
+class TestEngineFailures:
+    @pytest.mark.parametrize("exc", ENGINE_FAILURES, ids=lambda e: type(e).__name__)
+    def test_solve_reports_error(self, tmp_path, capsys, monkeypatch, exc):
+        cnf = write(tmp_path / "a.cnf", "p cnf 2 1\n1 -2 0\n")
+        rep = tmp_path / "rep.jsonl"
+        fail_solves(monkeypatch, exc)
+        assert cli.main(["solve", cnf, "--report", str(rep), "--timeout", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: {type(exc).__name__}: {exc}\n"
+        assert "s " not in out
+        row = json.loads(rep.read_text())
+        assert row["status"] == "ERROR"
+        assert row["stop_reason"] == type(exc).__name__
+        assert row["par2"] == pytest.approx(10.0)
+
+    @pytest.mark.parametrize("exc", ENGINE_FAILURES, ids=lambda e: type(e).__name__)
+    def test_bench_row_is_error(self, tmp_path, capsys, monkeypatch, exc):
+        rep = tmp_path / "bench.jsonl"
+        fail_solves(monkeypatch, exc)
+        rc = cli.main(["bench", "urq", "--m-range", "3:3", "--seed", "5",
+                       "--report", str(rep)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert " ERROR " in out
+        assert err == f"error: {type(exc).__name__}: {exc}\n"
+        row = json.loads(rep.read_text())
+        assert row["status"] == "ERROR"
+        assert row["stop_reason"] == type(exc).__name__
+        assert row["verified"] is None
 
 
 class TestCheckCommand:

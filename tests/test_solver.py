@@ -113,8 +113,44 @@ class TestBasics:
         assert r.decisions == 0
 
     def test_var_order_must_be_permutation(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             Solver(CnfFormula(2, [(1,)]), var_order=[1, 1])
+
+
+class TestFlatStateBoundaries:
+    """`lval` has 2n+1 slots, so literal -n (slot n+1) and literal n (slot n)
+    never share one.  Here variable n is assigned first, by a unit, and both
+    of its literals are read while propagation runs down to variable 1."""
+
+    N = 6
+
+    def clauses(self):
+        n = self.N
+        chain = [(v + 1, -v) for v in range(1, n)]  # -(v+1) forces -v
+        parity = xor_encoding_clauses(ParityConstraint((1, n), 0))
+        return [(-n,)] + chain + [(-n, 2)] + parity
+
+    @pytest.mark.parametrize("use_xor", [True, False])
+    def test_top_variable_unit_propagates_to_bottom(self, use_xor):
+        n = self.N
+        f = CnfFormula(n, self.clauses())
+        sink = StringIO()
+        r = Solver(f, use_xor=use_xor, proof_sink=sink, var_order=range(n, 0, -1)).solve()
+        assert r.status == SAT
+        assert r.model == list(range(-n, 0))
+        assert r.decisions == 0
+        assert_verified(f, sink.getvalue(), refutation=False)
+
+    @pytest.mark.parametrize("use_xor", [True, False])
+    def test_declared_variables_beyond_the_clauses(self, use_xor):
+        total = self.N + 3
+        f = CnfFormula(total, self.clauses())
+        sink = StringIO()
+        r = Solver(f, use_xor=use_xor, proof_sink=sink, var_order=range(total, 0, -1)).solve()
+        assert r.status == SAT
+        assert r.model == list(range(-total, 0))
+        assert r.decisions == 3
+        assert_verified(f, sink.getvalue(), refutation=False)
 
 
 class TestParityReasoning:
@@ -186,7 +222,7 @@ class TestSearchMachinery:
         outs = []
         for _ in range(2):
             sink = StringIO()
-            r = Solver(f, proof_sink=sink, seed=99).solve()
+            r = Solver(f, proof_sink=sink).solve()
             outs.append((r.status, r.conflicts, r.decisions, sink.getvalue()))
         assert outs[0] == outs[1]
 
