@@ -18,8 +18,8 @@ import time
 from .bdd import Bdd, BddCapacityError
 from .formula import DimacsError, extract_xors, parse_dimacs, write_dimacs
 from .gauss import ParityEngine
-from .lrat import DEFAULT_MAX_PROOF_CLAUSES, check, parse_proof
-from .solver import LIMIT, SAT, UNSAT, SolveResult, Solver
+from .lrat import DEFAULT_MAX_PROOF_CLAUSES, check, iter_proof
+from .solver import LIMIT, SAT, UNSAT, SolveResult, Solver, checked_order
 from .tbdd import ProofEngineError
 
 EXIT_CODES = {SAT: 10, UNSAT: 20, LIMIT: 30}
@@ -98,23 +98,24 @@ def cmd_solve(args) -> int:
     var_order = None
     if args.var_order:
         try:
-            var_order = _read_var_order(args.var_order)
+            var_order = checked_order(_read_var_order(args.var_order), f.num_vars)
         except (OSError, ValueError) as e:
             print(f"error: bad variable order file: {e}", file=sys.stderr)
             return 1
-    with open(args.proof, "w") if args.proof else contextlib.nullcontext() as sink:
-        try:
-            s = Solver(
-                f,
-                use_xor=not args.no_xor,
-                proof_sink=sink,
-                max_proof_clauses=args.max_proof_clauses,
-                var_order=var_order,
-                timeout=args.timeout,
-            )
-        except ValueError as e:
-            print(f"error: bad variable order file: {e}", file=sys.stderr)
-            return 1
+    try:
+        proof = open(args.proof, "w") if args.proof else contextlib.nullcontext()
+    except OSError as e:
+        print(f"error: cannot write proof: {e}", file=sys.stderr)
+        return 1
+    with proof as sink:
+        s = Solver(
+            f,
+            use_xor=not args.no_xor,
+            proof_sink=sink,
+            max_proof_clauses=args.max_proof_clauses,
+            var_order=var_order,
+            timeout=args.timeout,
+        )
         try:
             res = _run_solver(s)
         except AssertionError as e:
@@ -143,15 +144,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    # the proof streams through the checker line by line; lines are decoded
+    # one at a time so a decoding error names its line
     try:
         with open(args.cnf) as fh:
             f = parse_dimacs(fh.read())
-        with open(args.proof) as fh:
-            steps = parse_proof(fh.read())
+        with open(args.proof, "rb") as fh:
+            res = check(f, iter_proof(map(bytes.decode, fh)), refutation=not args.derivation)
     except (OSError, DimacsError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    res = check(f, steps, refutation=not args.derivation)
     if res.ok:
         print(
             f"Verified: {res.steps} steps "
@@ -234,7 +236,8 @@ def _bench_task(task):
     rep["verified"] = None
     if check_proofs and res.status == UNSAT:
         t0 = time.monotonic()
-        v = check(inst.formula, parse_proof(sink.getvalue()))
+        sink.seek(0)
+        v = check(inst.formula, iter_proof(sink))
         rep["verified"] = bool(v.ok)
         rep["check_time"] = round(time.monotonic() - t0, 6)
     return rep

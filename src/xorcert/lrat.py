@@ -6,13 +6,21 @@ steps are checked by reverse unit propagation driven only by the listed
 hints, in order, with no search.  A step with an empty hint list is an
 extension-variable definition: it is accepted only when it is blocked on
 its first literal, whose variable must not occur in the input formula.
+
+Checking streams.  `iter_proof` parses one line at a time from any
+iterable of lines (an open file works) and `check` consumes any iterable
+of steps, stopping at the first line that fails to parse or to check.  The
+checker's memory is bounded by the clauses live at each step, not by the
+length of the proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
+from typing import NamedTuple
 
-from .formula import CnfFormula, lit_var
+from .formula import CnfFormula
 
 DEFAULT_MAX_PROOF_CLAUSES = 2**30
 
@@ -25,57 +33,80 @@ class ProofSyntaxError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AddStep:
+class AddStep(NamedTuple):
     id: int
     lits: tuple[int, ...]
     hints: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DeleteStep:
+class DeleteStep(NamedTuple):
     id: int
     ids: tuple[int, ...]
 
 
+def add_line(sid, lits, hints) -> str:
+    return " ".join(map(str, (sid, *lits, 0, *hints, 0)))
+
+
+def delete_line(sid, ids) -> str:
+    return " ".join(map(str, (sid, "d", *ids, 0)))
+
+
 def format_step(step) -> str:
-    if isinstance(step, AddStep):
-        mid = " ".join(str(l) for l in step.lits)
-        tail = " ".join(str(h) for h in step.hints)
-        return f"{step.id} {mid}{' ' if mid else ''}0 {tail}{' ' if tail else ''}0"
-    mid = " ".join(str(i) for i in step.ids)
-    return f"{step.id} d {mid}{' ' if mid else ''}0"
+    return add_line(*step) if isinstance(step, AddStep) else delete_line(*step)
+
+
+def iter_proof(lines):
+    """Yield the steps of the proof text in `lines`, one line at a time.
+
+    Raises ProofSyntaxError, prefixed with the 1-based line number, at the
+    first malformed line, and for a line that cannot be decoded."""
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            toks = raw.split()
+            if not toks or toks[0][0] == "c":
+                continue
+            if len(toks) > 1 and toks[1] == "d":
+                yield _delete_step(lineno, toks)
+                continue
+            try:
+                nums = list(map(int, toks))
+            except ValueError:
+                _step_id(lineno, toks)
+                raise ProofSyntaxError(f"line {lineno}: bad token in add step") from None
+            try:
+                z = nums.index(0, 1)
+                whole = nums.index(0, z + 1) == len(nums) - 1
+            except ValueError:
+                whole = False
+            if not whole:
+                raise ProofSyntaxError(f"line {lineno}: add step needs two 0 terminators")
+            yield AddStep(nums[0], tuple(nums[1:z]), tuple(nums[z + 1 : -1]))
+    except UnicodeDecodeError as e:
+        raise ProofSyntaxError(f"line {lineno + 1}: {e}") from None
+
+
+def _step_id(lineno, toks) -> int:
+    try:
+        return int(toks[0])
+    except ValueError:
+        raise ProofSyntaxError(f"line {lineno}: bad step id {toks[0]!r}") from None
+
+
+def _delete_step(lineno, toks) -> DeleteStep:
+    sid = _step_id(lineno, toks)
+    try:
+        body = list(map(int, toks[2:]))
+    except ValueError:
+        raise ProofSyntaxError(f"line {lineno}: bad token in delete") from None
+    if not body or body[-1] != 0 or 0 in body[:-1]:
+        raise ProofSyntaxError(f"line {lineno}: delete not 0-terminated")
+    return DeleteStep(sid, tuple(body[:-1]))
 
 
 def parse_proof(text: str) -> list:
-    steps = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        toks = line.split()
-        try:
-            sid = int(toks[0])
-        except ValueError:
-            raise ProofSyntaxError(f"line {lineno}: bad step id {toks[0]!r}") from None
-        if len(toks) >= 2 and toks[1] == "d":
-            try:
-                body = [int(t) for t in toks[2:]]
-            except ValueError:
-                raise ProofSyntaxError(f"line {lineno}: bad token in delete") from None
-            if not body or body[-1] != 0 or 0 in body[:-1]:
-                raise ProofSyntaxError(f"line {lineno}: delete not 0-terminated")
-            steps.append(DeleteStep(sid, tuple(body[:-1])))
-            continue
-        try:
-            body = [int(t) for t in toks[1:]]
-        except ValueError:
-            raise ProofSyntaxError(f"line {lineno}: bad token in add step") from None
-        zeros = [i for i, t in enumerate(body) if t == 0]
-        if len(zeros) != 2 or zeros[1] != len(body) - 1:
-            raise ProofSyntaxError(f"line {lineno}: add step needs two 0 terminators")
-        steps.append(AddStep(sid, tuple(body[: zeros[0]]), tuple(body[zeros[0] + 1 : -1])))
-    return steps
+    return list(iter_proof(text.splitlines()))
 
 
 class ProofWriter:
@@ -94,29 +125,24 @@ class ProofWriter:
         self.deletes = 0
         self.empty_emitted = False
 
-    def _next(self) -> int:
-        self.last_id += 1
-        return self.last_id
-
     def add(self, lits, hints) -> int:
         assert not self.empty_emitted, "no steps may follow the empty clause"
         if self.adds + 1 > self.max_clauses:
             raise ProofLimitExceeded(f"proof clause budget {self.max_clauses} exhausted")
-        step = AddStep(self._next(), tuple(lits), tuple(hints))
-        self.sink.write(format_step(step) + "\n")
+        self.last_id += 1
+        self.sink.write(add_line(self.last_id, lits, hints) + "\n")
         self.adds += 1
-        if not step.lits:
+        if not lits:
             self.empty_emitted = True
-        return step.id
+        return self.last_id
 
     def delete(self, ids) -> int | None:
-        ids = tuple(ids)
         if not ids or self.empty_emitted:
             return None
-        step = DeleteStep(self._next(), ids)
-        self.sink.write(format_step(step) + "\n")
+        self.last_id += 1
+        self.sink.write(delete_line(self.last_id, ids) + "\n")
         self.deletes += len(ids)
-        return step.id
+        return self.last_id
 
 
 @dataclass
@@ -137,7 +163,8 @@ class Rejected:
 
 
 def check(f: CnfFormula, steps, refutation: bool = True):
-    """Replay `steps` against formula f.  Returns Verified or Rejected.
+    """Replay `steps`, any iterable of steps, against formula f.  Returns
+    Verified or Rejected at the first failing step.
 
     Refutation mode additionally demands a final empty-clause step.
     """
@@ -151,82 +178,64 @@ def check(f: CnfFormula, steps, refutation: bool = True):
     adds = deletes = 0
     has_empty = False
 
-    def track(cid, lits, add):
-        for l in lits:
-            v = lit_var(l)
-            if v > nvars:
-                if add:
-                    occ.setdefault(v, set()).add(cid)
-                else:
-                    s = occ.get(v)
-                    if s is not None:
-                        s.discard(cid)
-
     for step in steps:
+        sid = step.id
         if has_empty:
-            return Rejected(step.id, "step after empty clause")
-        if step.id <= max_id:
-            return Rejected(step.id, f"id reuse: {step.id} not above {max_id}")
-        max_id = step.id
+            return Rejected(sid, "step after empty clause")
+        if sid <= max_id:
+            return Rejected(sid, f"id reuse: {sid} not above {max_id}")
+        max_id = sid
 
         if isinstance(step, DeleteStep):
             for d in step.ids:
-                if d not in live:
-                    return Rejected(step.id, f"delete of non-live id {d}")
-                track(d, live[d], add=False)
-                del live[d]
+                cl = live.pop(d, None)
+                if cl is None:
+                    return Rejected(sid, f"delete of non-live id {d}")
+                for l in cl:
+                    v = l if l > 0 else -l
+                    if v > nvars:
+                        s = occ.get(v)
+                        if s is not None:
+                            s.discard(d)
+                            if not s:
+                                del occ[v]
             deletes += len(step.ids)
             continue
 
         lits = step.lits
-        if step.hints:
-            # reverse unit propagation, driven by the hints alone
-            assign: dict[int, bool] = {}
-            taut = False
-            for l in lits:
-                v = lit_var(l)
-                want = l < 0  # assume the literal false
-                if v in assign and assign[v] != want:
-                    taut = True
-                    break
-                assign[v] = want
-            if not taut:
-                conflict = False
-                for pos, h in enumerate(step.hints):
+        hints = step.hints
+        if hints:
+            # reverse unit propagation, driven by the hints alone: `false`
+            # holds the literals assumed or propagated false.  A tautology
+            # needs no hints.
+            false = set(lits)
+            if false.isdisjoint(map(neg, lits)):
+                last = len(hints) - 1
+                for pos, h in enumerate(hints):
                     cl = live.get(h)
                     if cl is None:
-                        return Rejected(step.id, f"bad hint: id {h} not live")
-                    unit = None
-                    satisfied = False
-                    free = 0
+                        return Rejected(sid, f"bad hint: id {h} not live")
+                    unit = 0  # none yet: 0 is never a literal
                     for l in cl:
                         visits += 1
-                        v = lit_var(l)
-                        if v not in assign:
-                            free += 1
-                            unit = l
-                            if free > 1:
-                                break
-                        elif assign[v] == (l > 0):
-                            satisfied = True
-                            break
-                    if satisfied or free > 1:
-                        return Rejected(step.id, f"hint {h} neither unit nor falsified")
-                    if free == 0:
-                        if pos != len(step.hints) - 1:
-                            return Rejected(step.id, f"conflict at hint {h} before final hint")
-                        conflict = True
-                    else:
-                        assign[lit_var(unit)] = unit > 0
-                if not conflict:
-                    return Rejected(step.id, "no conflict after final hint")
+                        if l in false:
+                            continue
+                        if unit or -l in false:
+                            return Rejected(sid, f"hint {h} neither unit nor falsified")
+                        unit = l
+                    if unit:
+                        false.add(-unit)
+                    elif pos != last:
+                        return Rejected(sid, f"conflict at hint {h} before final hint")
+                if unit:
+                    return Rejected(sid, "no conflict after final hint")
         else:
             if not lits:
-                return Rejected(step.id, "empty clause needs hints")
+                return Rejected(sid, "empty clause needs hints")
             pivot = lits[0]
-            pv = lit_var(pivot)
+            pv = pivot if pivot > 0 else -pivot
             if pv <= nvars:
-                return Rejected(step.id, f"pivot not fresh: variable {pv} is an input variable")
+                return Rejected(sid, f"pivot not fresh: variable {pv} is an input variable")
             rest = set(lits[1:])
             for cid in occ.get(pv, ()):
                 d = live[cid]
@@ -235,10 +244,13 @@ def check(f: CnfFormula, steps, refutation: bool = True):
                 # blocked check: every resolvent on the pivot must be a tautology
                 if not any(-l in rest for l in d if l != -pivot):
                     return Rejected(
-                        step.id, f"pivot not fresh: non-tautological resolvent with {cid}"
+                        sid, f"pivot not fresh: non-tautological resolvent with {cid}"
                     )
-        live[step.id] = lits
-        track(step.id, lits, add=True)
+        live[sid] = lits
+        for l in lits:
+            v = l if l > 0 else -l
+            if v > nvars:
+                occ.setdefault(v, set()).add(sid)
         adds += 1
         if not lits:
             has_empty = True

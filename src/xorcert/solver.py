@@ -87,6 +87,17 @@ class _Clause:
         self.pid = pid
 
 
+def checked_order(var_order, n: int) -> list[int]:
+    """`var_order` as a list (1..n when None); ValueError unless it is a
+    permutation of 1..n."""
+    if var_order is None:
+        return list(range(1, n + 1))
+    order = list(var_order)
+    if sorted(order) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n} ({len(order)} entries)")
+    return order
+
+
 class Solver:
     def __init__(
         self,
@@ -104,14 +115,7 @@ class Solver:
         self.max_xor_arity = max_xor_arity
         self.timeout = timeout
         n = formula.num_vars
-        if var_order is None:
-            self.order = list(range(1, n + 1))
-        else:
-            self.order = list(var_order)
-            if sorted(self.order) != list(range(1, n + 1)):
-                raise ValueError(
-                    f"not a permutation of 1..{n} ({len(self.order)} entries)"
-                )
+        self.order = checked_order(var_order, n)
         self.writer = None
         if proof_sink is not None:
             self.writer = ProofWriter(proof_sink, formula.num_clauses, max_proof_clauses)

@@ -292,30 +292,44 @@ def _robustness_corpus():
     return corpus
 
 
+MUTATION_TOKENS = [str(i) for i in range(-9, 10)] + ["d"]
+
+
+def mutate_one(rng, corpus):
+    """One criterion-7 mutation: a corpus pair with one token of its CNF
+    (30% of draws) or of its proof replaced.  Returns (cnf_text,
+    proof_text, mutated_cnf), or None when the picked line is blank."""
+    cnf_text, proof_text = corpus[rng.randrange(len(corpus))]
+    mutate_cnf = rng.random() < 0.3
+    lines = (cnf_text if mutate_cnf else proof_text).splitlines()
+    li = rng.randrange(len(lines))
+    toks = lines[li].split()
+    if not toks:
+        return None
+    ti = rng.randrange(len(toks))
+    toks[ti] = rng.choice([t for t in MUTATION_TOKENS if t != toks[ti]])
+    lines[li] = " ".join(toks)
+    mutated = "\n".join(lines) + "\n"
+    if mutate_cnf:
+        return mutated, proof_text, True
+    return cnf_text, mutated, False
+
+
 def test_criterion_7_proof_robustness():
     t0 = time.perf_counter()
     corpus = _robustness_corpus()
     assert len(corpus) >= 50
     rng = random.Random(777)
-    pool = [str(i) for i in range(-9, 10)] + ["d"]
     rejected = survived = 0
     for _ in range(1000):
-        cnf_text, proof_text = corpus[rng.randrange(len(corpus))]
-        mutate_cnf = rng.random() < 0.3
-        lines = (cnf_text if mutate_cnf else proof_text).splitlines()
-        li = rng.randrange(len(lines))
-        toks = lines[li].split()
-        if not toks:
+        drawn = mutate_one(rng, corpus)
+        if drawn is None:
             rejected += 1
             continue
-        ti = rng.randrange(len(toks))
-        repl = rng.choice([t for t in pool if t != toks[ti]])
-        toks[ti] = repl
-        lines[li] = " ".join(toks)
-        mutated = "\n".join(lines) + "\n"
+        cnf_text, proof_text, _ = drawn
         try:
-            f = parse_dimacs(mutated if mutate_cnf else cnf_text)
-            steps = parse_proof(proof_text if mutate_cnf else mutated)
+            f = parse_dimacs(cnf_text)
+            steps = parse_proof(proof_text)
         except (DimacsError, ProofSyntaxError):
             rejected += 1
             continue

@@ -26,6 +26,11 @@ THREE_XOR_CNF = """p cnf 3 8
 """
 
 
+# (x1 or x2), (x1 or -x2), (-x1 or x2), (-x1 or -x2): refuted by
+# "5 1 0 1 2 0" then "6 0 5 3 4 0"
+PAIRS_CNF = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
+
+
 def write(path, text):
     path.write_text(text)
     return str(path)
@@ -120,6 +125,24 @@ class TestSolveInputErrors:
         assert err.startswith("error: bad variable order file: ")
         assert len(err.splitlines()) == 1
 
+    def test_rejected_var_order_leaves_no_proof(self, tmp_path, capsys):
+        cnf = write(tmp_path / "a.cnf", "p cnf 3 1\n1 -2 0\n")
+        order = write(tmp_path / "short.order", "1 2\n")
+        proof = tmp_path / "a.lrat"
+        assert cli.main(["solve", cnf, "--var-order", order, "--proof", str(proof)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad variable order file: ")
+        assert not proof.exists()
+
+    def test_unwritable_proof_path(self, tmp_path, capsys):
+        cnf = write(tmp_path / "a.cnf", "p cnf 1 2\n1 0\n-1 0\n")
+        proof = tmp_path / "missing" / "x.lrat"
+        assert cli.main(["solve", cnf, "--proof", str(proof)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: cannot write proof: ")
+        assert len(err.splitlines()) == 1
+        assert out == ""
+        assert not proof.parent.exists()
+
 
 ENGINE_FAILURES = [
     RecursionError("maximum recursion depth exceeded"),
@@ -195,6 +218,41 @@ class TestCheckCommand:
         bad = write(tmp_path / "p.lrat", "not a proof line\n")
         assert cli.main(["check", cnf, bad]) == 1
         assert "error:" in capsys.readouterr().err
+
+    # the proof streams through the checker, which stops at the first
+    # failing line, be it malformed or a rejected step
+    def test_garbage_after_valid_prefix_is_error(self, tmp_path, capsys):
+        cnf = write(tmp_path / "a.cnf", PAIRS_CNF)
+        proof = write(tmp_path / "p.lrat", "5 1 0 1 2 0\nzebra 0\n6 0 5 3 4 0\n")
+        assert cli.main(["check", cnf, proof]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: line 2: bad step id 'zebra'\n"
+        assert out == ""
+
+    def test_rejected_step_before_garbage_is_rejected(self, tmp_path, capsys):
+        cnf = write(tmp_path / "a.cnf", PAIRS_CNF)
+        proof = write(tmp_path / "p.lrat", "5 1 0 1 0\nzebra 0\n")
+        assert cli.main(["check", cnf, proof]) == 2
+        out, err = capsys.readouterr()
+        assert out == "Rejected at step 5: no conflict after final hint\n"
+        assert err == ""
+
+    def test_undecodable_line_is_error(self, tmp_path, capsys):
+        cnf = write(tmp_path / "a.cnf", PAIRS_CNF)
+        proof = tmp_path / "p.lrat"
+        proof.write_bytes(b"5 1 0 1 2 0\n\xff\xfe 0\n6 0 5 3 4 0\n")
+        assert cli.main(["check", cnf, str(proof)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: 'utf-8' codec can't decode")
+        assert len(err.splitlines()) == 1
+
+    def test_valid_refutation_verified(self, tmp_path, capsys):
+        cnf = write(tmp_path / "a.cnf", PAIRS_CNF)
+        proof = write(tmp_path / "p.lrat", "5 1 0 1 2 0\n6 d 1 2 0\n7 0 5 3 4 0\n")
+        assert cli.main(["check", cnf, proof]) == 0
+        assert capsys.readouterr().out == (
+            "Verified: 4 steps (adds=2, deletes=2, hint_literal_visits=9)\n"
+        )
 
 
 class TestRunReport:

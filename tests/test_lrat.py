@@ -1,6 +1,8 @@
 import io
+import random
 
 import pytest
+from test_acceptance import _robustness_corpus, mutate_one
 
 from xorcert.formula import CnfFormula, parse_dimacs
 from xorcert.lrat import (
@@ -13,6 +15,7 @@ from xorcert.lrat import (
     Verified,
     check,
     format_step,
+    iter_proof,
     parse_proof,
 )
 
@@ -262,3 +265,110 @@ def test_end_to_end_file_roundtrip(tmp_path):
     f = parse_dimacs(cnf.read_text())
     steps = parse_proof(proof.read_text())
     assert isinstance(check(f, steps), Verified)
+
+
+def reference_parse(text: str) -> list:
+    """The whole-text parser that preceded the streaming one, kept as the
+    oracle for the differential tests below."""
+    steps = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        toks = line.split()
+        try:
+            sid = int(toks[0])
+        except ValueError:
+            raise ProofSyntaxError(f"line {lineno}: bad step id {toks[0]!r}") from None
+        if len(toks) >= 2 and toks[1] == "d":
+            try:
+                body = [int(t) for t in toks[2:]]
+            except ValueError:
+                raise ProofSyntaxError(f"line {lineno}: bad token in delete") from None
+            if not body or body[-1] != 0 or 0 in body[:-1]:
+                raise ProofSyntaxError(f"line {lineno}: delete not 0-terminated")
+            steps.append(DeleteStep(sid, tuple(body[:-1])))
+            continue
+        try:
+            body = [int(t) for t in toks[1:]]
+        except ValueError:
+            raise ProofSyntaxError(f"line {lineno}: bad token in add step") from None
+        zeros = [i for i, t in enumerate(body) if t == 0]
+        if len(zeros) != 2 or zeros[1] != len(body) - 1:
+            raise ProofSyntaxError(f"line {lineno}: add step needs two 0 terminators")
+        steps.append(AddStep(sid, tuple(body[: zeros[0]]), tuple(body[zeros[0] + 1 : -1])))
+    return steps
+
+
+@pytest.fixture(scope="module")
+def mutated_proofs():
+    """At least 1,000 proof-side mutations from the criterion-7 generator."""
+    corpus = _robustness_corpus()
+    rng = random.Random(303)
+    out = []
+    while len(out) < 1000:
+        drawn = mutate_one(rng, corpus)
+        if drawn is not None and not drawn[2]:
+            out.append((parse_dimacs(drawn[0]), drawn[1]))
+    return out
+
+
+class TestStreamingParser:
+    def test_parse_matches_reference(self, mutated_proofs):
+        errors = 0
+        for _, text in mutated_proofs:
+            try:
+                want = reference_parse(text)
+            except ProofSyntaxError as e:
+                errors += 1
+                with pytest.raises(ProofSyntaxError) as got:
+                    parse_proof(text)
+                assert str(got.value) == str(e)
+            else:
+                assert parse_proof(text) == want
+        assert 0 < errors < len(mutated_proofs)
+
+    def test_streamed_verdict_matches_reference(self, mutated_proofs):
+        # a malformed line stops the stream unless a step before it is
+        # rejected first
+        for f, text in mutated_proofs:
+            lines = text.splitlines()
+            try:
+                want = check(f, reference_parse(text))
+            except ProofSyntaxError as e:
+                bad_line = int(str(e).split(":")[0].split()[1])
+                prefix = check(f, reference_parse("\n".join(lines[: bad_line - 1])),
+                               refutation=False)
+                if prefix.ok:
+                    with pytest.raises(ProofSyntaxError) as got:
+                        check(f, iter_proof(lines))
+                    assert str(got.value) == str(e)
+                    continue
+                want = prefix
+            assert check(f, iter_proof(lines)) == want
+
+    def test_iter_proof_is_lazy(self):
+        def lines():
+            yield "5 1 0 1 2 0"
+            raise AssertionError("line 2 was read")
+
+        assert next(iter_proof(lines())) == AddStep(5, (1,), (1, 2))
+
+    def test_check_stops_at_first_rejection(self):
+        def steps():
+            yield AddStep(4, (1,), (1, 2))
+            raise AssertionError("a step after the rejected one was read")
+
+        r = check(PHI, steps())
+        assert isinstance(r, Rejected) and "id reuse" in r.reason
+
+    def test_undecodable_line_names_its_line(self):
+        it = iter_proof(map(bytes.decode, [b"c ok\n", b"5 1 0 1 2 0\n", b"\xff 0\n"]))
+        assert next(it) == AddStep(5, (1,), (1, 2))
+        with pytest.raises(ProofSyntaxError, match="^line 3: 'utf-8' codec"):
+            next(it)
+
+    def test_steps_are_tuples(self):
+        add, delete = AddStep(9, (-1,), (3,)), DeleteStep(10, (9,))
+        assert add == (9, (-1,), (3,)) and delete.ids == (9,)
+        assert not hasattr(add, "ids") and hasattr(delete, "ids")
