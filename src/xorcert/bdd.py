@@ -30,8 +30,6 @@ class Bdd:
         self.nodes = {}      # ref -> (level, hi, lo)
         self.unique = {}     # (level, hi, lo) -> ref
         self.refcount = {}
-        self.and_memo = {}
-        self.count_memo = {}
         self.on_node = on_node
         self.on_free = on_free
         self.peak_nodes = 0
@@ -96,9 +94,8 @@ class Bdd:
         self.refcount[u] = n
 
     def garbage_collect(self):
-        """Free every node unreachable from externally referenced roots.
-        Returns the freed handles, ascending.  Caches that mention a freed
-        node are purged so later operations cannot resurrect stale entries."""
+        """Free every node unreachable from externally referenced roots and
+        pass the freed handles, ascending, to `on_free`; returns them too."""
         marked = set()
         stack = [u for u, c in self.refcount.items() if c > 0]
         while stack:
@@ -112,43 +109,15 @@ class Bdd:
         freed = sorted(set(self.nodes) - marked)
         if not freed:
             return []
-        fs = set(freed)
         for u in freed:
             del self.unique[self.nodes[u]]
             del self.nodes[u]
             self.refcount.pop(u, None)
-        self.and_memo = {
-            k: w for k, w in self.and_memo.items()
-            if k[0] not in fs and k[1] not in fs and w not in fs
-        }
-        self.count_memo = {u: c for u, c in self.count_memo.items() if u not in fs}
         if self.on_free is not None:
             self.on_free(freed)
         return freed
 
     # -- operations ---------------------------------------------------------
-
-    def and_bdd(self, u, v):
-        if u == T0 or v == T0:
-            return T0
-        if u == T1 or u == v:
-            return v
-        if v == T1:
-            return u
-        key = (u, v) if u <= v else (v, u)
-        w = self.and_memo.get(key)
-        if w is not None:
-            return w
-        lu, lv = self.level(u), self.level(v)
-        lvl = min(lu, lv)
-        x = self.var_at[lvl]
-        uh, ul = (self.hi(u), self.lo(u)) if lu == lvl else (u, u)
-        vh, vl = (self.hi(v), self.lo(v)) if lv == lvl else (v, v)
-        wh = self.and_bdd(uh, vh)
-        wl = self.and_bdd(ul, vl)
-        w = self.mk_node(x, wh, wl) if wh != wl else wh
-        self.and_memo[key] = w
-        return w
 
     def parity_bdd(self, vars, phase):
         """Canonical BDD of xor(vars) == phase: 2k-1 nonterminal nodes for
@@ -161,65 +130,6 @@ class Bdd:
             even, odd = self.mk_node(v, odd, even), self.mk_node(v, even, odd)
         top = vs[0]
         return self.mk_node(top, odd, even) if phase == 0 else self.mk_node(top, even, odd)
-
-    def sat_count(self, u):
-        """Satisfying assignments over all |order| variables."""
-        n = len(self.var_at)
-        if u == T0:
-            return 0
-        if u == T1:
-            return 1 << n
-
-        def raw(w):
-            # models over variables strictly below w's level
-            if w == T1:
-                return 1
-            if w == T0:
-                return 0
-            c = self.count_memo.get(w)
-            if c is not None:
-                return c
-            lvl, hi, lo = self.nodes[w]
-            below = lambda child: min(self.level(child), n)
-            c = raw(hi) * (1 << (below(hi) - lvl - 1)) + raw(lo) * (1 << (below(lo) - lvl - 1))
-            self.count_memo[w] = c
-            return c
-
-        return raw(u) * (1 << self.nodes[u][0])
-
-    def evaluate(self, u, assignment):
-        """Follow `assignment` (dict var -> bool) from u to a terminal."""
-        while not self.is_terminal(u):
-            lvl, hi, lo = self.nodes[u]
-            u = hi if assignment[self.var_at[lvl]] else lo
-        return u == T1
-
-    def support(self, u):
-        out = set()
-        seen = set()
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            if w in seen or self.is_terminal(w):
-                continue
-            seen.add(w)
-            lvl, hi, lo = self.nodes[w]
-            out.add(self.var_at[lvl])
-            stack.append(hi)
-            stack.append(lo)
-        return out
-
-    def cone_size(self, u):
-        seen = set()
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            if w in seen or self.is_terminal(w):
-                continue
-            seen.add(w)
-            stack.append(self.nodes[w][1])
-            stack.append(self.nodes[w][2])
-        return len(seen)
 
     def to_dot(self, u, name="bdd"):
         """DOT text for the cone under u, for debugging."""

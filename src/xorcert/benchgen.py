@@ -22,6 +22,19 @@ def _popcount_parity(x: int) -> int:
     return x.bit_count() & 1
 
 
+def _constraint_lines(constraints):
+    """One manifest line per constraint: its variables, its phase and the
+    first and last of its source clause ids."""
+    return [
+        json.dumps({
+            "vars": list(c.vars),
+            "phase": c.phase,
+            "clauses": [c.source_clauses[0], c.source_clauses[-1]],
+        })
+        for c in constraints
+    ]
+
+
 # -- graph parity family ----------------------------------------------------
 
 
@@ -48,16 +61,7 @@ class UrqInstance:
     num_nodes: int
 
     def manifest_lines(self):
-        return [
-            json.dumps(
-                {
-                    "vars": list(c.vars),
-                    "phase": c.phase,
-                    "clauses": [c.source_clauses[0], c.source_clauses[-1]],
-                }
-            )
-            for c in self.constraints
-        ]
+        return _constraint_lines(self.constraints)
 
 
 def _three_regular_edges(n: int, rng: random.Random):
@@ -159,29 +163,15 @@ class LpnInstance:
     blocks: dict = field(default_factory=dict)
 
     def manifest_lines(self):
-        out = [
-            json.dumps(
-                {
-                    "n": self.config.n,
-                    "m": len(self.rows),
-                    "k": self.k,
-                    "bound": self.bound,
-                    "degenerate": self.degenerate,
-                    "target": list(self.target),
-                }
-            )
-        ]
-        for c in self.constraints:
-            out.append(
-                json.dumps(
-                    {
-                        "vars": list(c.vars),
-                        "phase": c.phase,
-                        "clauses": [c.source_clauses[0], c.source_clauses[-1]],
-                    }
-                )
-            )
-        return out
+        header = {
+            "n": self.config.n,
+            "m": len(self.rows),
+            "k": self.k,
+            "bound": self.bound,
+            "degenerate": self.degenerate,
+            "target": list(self.target),
+        }
+        return [json.dumps(header)] + _constraint_lines(self.constraints)
 
 
 def _chain_constraints(ws, phase, next_aux):

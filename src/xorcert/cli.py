@@ -37,6 +37,27 @@ def _env_seed() -> int:
         return 0
 
 
+class _InputError(Exception):
+    """Unusable input: `main` prints `error: <message>` and exits 1."""
+
+
+def _read_cnf(path: str):
+    try:
+        with open(path) as fh:
+            return parse_dimacs(fh.read())
+    except (OSError, DimacsError) as e:
+        raise _InputError(e) from None
+
+
+def _read_xors(args):
+    """The formula in args.cnf and the parity constraints recovered from it."""
+    f = _read_cnf(args.cnf)
+    cons = extract_xors(f, max_arity=args.max_arity)
+    if not cons:
+        raise _InputError("no parity constraints recovered")
+    return f, cons
+
+
 def _read_var_order(path: str):
     with open(path) as fh:
         return [int(tok) for tok in fh.read().split()]
@@ -89,12 +110,7 @@ def _run_solver(solver) -> SolveResult:
 
 
 def cmd_solve(args) -> int:
-    try:
-        with open(args.cnf) as fh:
-            f = parse_dimacs(fh.read())
-    except (OSError, DimacsError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    f = _read_cnf(args.cnf)
     var_order = None
     if args.var_order:
         try:
@@ -146,12 +162,11 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     # the proof streams through the checker line by line; lines are decoded
     # one at a time so a decoding error names its line
+    f = _read_cnf(args.cnf)
     try:
-        with open(args.cnf) as fh:
-            f = parse_dimacs(fh.read())
         with open(args.proof, "rb") as fh:
             res = check(f, iter_proof(map(bytes.decode, fh)), refutation=not args.derivation)
-    except (OSError, DimacsError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if res.ok:
@@ -308,16 +323,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_bdd_dump(args) -> int:
-    try:
-        with open(args.cnf) as fh:
-            f = parse_dimacs(fh.read())
-    except (OSError, DimacsError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    cons = extract_xors(f, max_arity=args.max_arity)
-    if not cons:
-        print("error: no parity constraints recovered", file=sys.stderr)
-        return 1
+    f, cons = _read_xors(args)
     if not 0 <= args.index < len(cons):
         print(f"error: constraint index out of range (0..{len(cons) - 1})", file=sys.stderr)
         return 1
@@ -329,16 +335,7 @@ def cmd_bdd_dump(args) -> int:
 
 
 def cmd_gj_trace(args) -> int:
-    try:
-        with open(args.cnf) as fh:
-            f = parse_dimacs(fh.read())
-    except (OSError, DimacsError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    cons = extract_xors(f, max_arity=args.max_arity)
-    if not cons:
-        print("error: no parity constraints recovered", file=sys.stderr)
-        return 1
+    _, cons = _read_xors(args)
     eng = ParityEngine(cons)
     if args.reduce:
         eng.full_reduce()
@@ -434,7 +431,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _InputError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -29,11 +29,6 @@ class CnfFormula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def add_clause(self, lits) -> int:
-        """Append a clause, returning its 1-based id."""
-        self.clauses.append(tuple(lits))
-        return len(self.clauses)
-
 
 @dataclass(frozen=True)
 class ParityConstraint:

@@ -67,7 +67,6 @@ class ParityEngine:
             self.rows.append(m)
             self.phases.append(p.phase)
             self.shadow.append(1 << i)
-        self.row_version = [0] * len(self.rows)
         self.pivot_of_row: dict[int, int] = {}
         # propagation state
         self.value: dict[int, bool] = {}
@@ -87,24 +86,11 @@ class ParityEngine:
     def origin_of(self, r: int) -> tuple[int, ...]:
         return tuple(_bits(self.shadow[r]))
 
-    def _touch(self, r: int):
-        self.row_version[r] += 1
-
-    def swap_rows(self, a: int, b: int):
-        if a == b:
-            return
-        self.rows[a], self.rows[b] = self.rows[b], self.rows[a]
-        self.phases[a], self.phases[b] = self.phases[b], self.phases[a]
-        self.shadow[a], self.shadow[b] = self.shadow[b], self.shadow[a]
-        self._touch(a)
-        self._touch(b)
-
     def add_row_into(self, src: int, dst: int):
         assert src != dst, "a row is never summed into itself"
         self.rows[dst] ^= self.rows[src]
         self.phases[dst] ^= self.phases[src]
         self.shadow[dst] ^= self.shadow[src]
-        self._touch(dst)
 
     def eliminate_column(self, pivot_row: int, col: int):
         """Sum the pivot row into every other row with a 1 in `col`."""

@@ -11,9 +11,9 @@ whose hints are the reasons of the literals resolved away, in trail order,
 with the conflict clause last.  Reasons reported by the parity engine are
 justified the moment they are generated: the engine's shadow matrix names
 the initial constraints summing to the row, those constraints' trusted
-BDDs are summed (cached per row until the row changes), and the reason
-clause is emitted with a single hinted step before the solver relies on
-it.  A top-level conflict closes the proof with the empty clause.
+BDDs are summed (cached per row until the row's origin changes), and the
+reason clause is emitted with a single hinted step before the solver
+relies on it.  A top-level conflict closes the proof with the empty clause.
 
 State layout (MiniSat's): assignment, levels, reasons and watches live in
 flat lists, not dicts.  `lval[lit]` is True, False or None for every literal
@@ -104,7 +104,6 @@ class Solver:
         formula: CnfFormula,
         *,
         use_xor: bool = True,
-        max_xor_arity: int = 6,
         proof_sink=None,
         max_proof_clauses: int = DEFAULT_MAX_PROOF_CLAUSES,
         var_order=None,
@@ -112,7 +111,6 @@ class Solver:
     ):
         self.f = formula
         self.use_xor = use_xor
-        self.max_xor_arity = max_xor_arity
         self.timeout = timeout
         n = formula.num_vars
         self.order = checked_order(var_order, n)
@@ -142,8 +140,8 @@ class Solver:
         self.tb: TbddEngine | None = None
         self.xors = []
         self.xor_tbdds = []
-        self.row_sum: dict[int, tuple] = {}
-        self.row_clause_ids: dict[int, dict] = {}
+        self.row_sum: dict[int, tuple] = {}    # row -> (origin, summed Tbdd)
+        self.justified: dict[tuple, int] = {}  # reason clause -> proof id
         # stats
         self.conflicts = 0
         self.decisions = 0
@@ -192,12 +190,18 @@ class Solver:
         self.ghead = min(ghead, len(trail))
 
     def _bump(self, v):
-        self.activity[v] += self.var_inc
-        if self.activity[v] > ACT_RESCALE:
-            for u in range(1, len(self.activity)):
-                self.activity[u] *= 1.0 / ACT_RESCALE
+        """Raise v's activity.  v is assigned, so it needs no heap entry
+        now: `_backtrack` queues it with its current activity once freed."""
+        act = self.activity
+        act[v] += self.var_inc
+        if act[v] > ACT_RESCALE:
+            for u in range(1, len(act)):
+                act[u] *= 1.0 / ACT_RESCALE
             self.var_inc *= 1.0 / ACT_RESCALE
-        heapq.heappush(self.heap, (-self.activity[v], v))
+            # the queued keys predate the rescale: requeue the free variables
+            lval = self.lval
+            self.heap = [(-act[u], u) for u in range(1, len(act)) if lval[u] is None]
+            heapq.heapify(self.heap)
 
     def _decide(self):
         while self.heap:
@@ -242,7 +246,7 @@ class Solver:
         return up
 
     def _prepare_parity(self):
-        self.xors = extract_xors(self.f, max_arity=self.max_xor_arity)
+        self.xors = extract_xors(self.f)
         if not self.xors:
             return
         support = {v for c in self.xors for v in c.vars}
@@ -254,24 +258,21 @@ class Solver:
         self.par.full_reduce()
 
     def _justify(self, rec):
+        """Proof id of a step deriving rec.clause (None without a proof).
+        A row's sum is rebuilt when its origin changes; a justified clause's
+        step is never deleted, so its id is cached by clause."""
         if self.tb is None:
             return None
         row = rec.row
-        ver = self.par.row_version[row]
         ent = self.row_sum.get(row)
-        if ent is None or ent[0] != ver:
-            if ent is not None and ent[2]:
+        if ent is None or ent[0] != rec.origin:
+            if ent is not None and len(ent[0]) > 1:  # else an input's own Tbdd
                 self.tb.drop(ent[1])
-            self.row_clause_ids.pop(row, None)
-            srcs = [self.xor_tbdds[i] for i in rec.origin]
-            summed = self.tb.greedy_sum(srcs)
-            ent = (ver, summed, len(srcs) > 1)
-            self.row_sum[row] = ent
-        cache = self.row_clause_ids.setdefault(row, {})
-        pid = cache.get(rec.clause)
+            summed = self.tb.greedy_sum([self.xor_tbdds[i] for i in rec.origin])
+            ent = self.row_sum[row] = (rec.origin, summed)
+        pid = self.justified.get(rec.clause)
         if pid is None:
-            pid = self.tb.tbdd_justify_clause(ent[1], rec.clause)
-            cache[rec.clause] = pid
+            pid = self.justified[rec.clause] = self.tb.tbdd_justify_clause(ent[1], rec.clause)
             self.tb.maybe_collect()
         return pid
 
@@ -349,23 +350,23 @@ class Solver:
                 p = trail[self.ghead]
                 self.ghead += 1
                 for rec in self.par.on_assign(p if p > 0 else -p, p > 0):
+                    self.parity_propagations += 1
                     out = self._handle_record(rec)
                     if out is not None:
                         return out
 
     def _handle_record(self, rec):
-        self.parity_propagations += 1
+        """Justify a parity record and enqueue its implied literal; returns
+        (clause, proof id) if the record conflicts with the assignment."""
         pid = self._justify(rec)
-        assert rec.clause, "empty parity conflicts arise only before search"
         if rec.kind == CONFLICT:
             return rec.clause, pid
         lit = rec.clause[0]
         val = self.lval[lit]
-        if val is True:
-            return None
-        if val is False:
+        if val is None:
+            self._enqueue(lit, rec.clause, pid)
+        elif val is False:
             return rec.clause, pid
-        self._enqueue(lit, rec.clause, pid)
         return None
 
     # -- conflict analysis ---------------------------------------------------
@@ -469,29 +470,13 @@ class Solver:
                     self._enqueue(lit, lits, cid)
         if self.par is not None:
             for rec in self.par.start_watches():
-                pid = self._justify(rec)
-                if not rec.clause:
-                    # zero row with odd phase; its justification already
-                    # closed the proof with the empty clause
-                    assert rec.kind == CONFLICT
+                confl = self._handle_record(rec)
+                if confl is not None:
+                    # an empty clause comes from a zero row with odd phase,
+                    # whose justification already closed the proof
+                    if rec.clause:
+                        self._derive_empty(*confl)
                     return UNSAT
-                out = self._handle_record_initial(rec, pid)
-                if out is not None:
-                    return out
-        return None
-
-    def _handle_record_initial(self, rec, pid):
-        if rec.kind == CONFLICT:
-            self._derive_empty(rec.clause, pid)
-            return UNSAT
-        lit = rec.clause[0]
-        val = self.lval[lit]
-        if val is True:
-            return None
-        if val is False:
-            self._derive_empty(rec.clause, pid)
-            return UNSAT
-        self._enqueue(lit, rec.clause, pid)
         return None
 
     def _verify_model(self):

@@ -55,10 +55,6 @@ class Tbdd:
     constraint: ParityConstraint | None = None
     dropped: bool = field(default=False, compare=False)
 
-    @property
-    def evar(self) -> int:
-        return self.root
-
 
 class TbddEngine:
     def __init__(self, order, writer, num_input_vars: int):
@@ -78,11 +74,6 @@ class TbddEngine:
 
     # -- node registration ---------------------------------------------------
 
-    @staticmethod
-    def _nlit(u):
-        # terminal handles are already the +/- TRUE sentinel
-        return u
-
     def _register_node(self, ref, var, hi, lo):
         """Emit the defining clauses of extension variable `ref`.
 
@@ -101,9 +92,6 @@ class TbddEngine:
             if cl is not None:
                 entry[role] = (w.add(cl, ()), cl)
         self.defs[ref] = entry
-
-    def defining_clauses(self, ref):
-        return self.defs[ref]
 
     def _reclaim_nodes(self, freed):
         for ref in freed:

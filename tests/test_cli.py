@@ -36,6 +36,17 @@ def write(path, text):
     return str(path)
 
 
+# every command that reads a DIMACS file
+CNF_COMMANDS = ["solve", "check", "bdd-dump", "gj-trace"]
+
+
+def cnf_argv(command, cnf, tmp_path):
+    """`command` run on `cnf`; check also gets an empty proof file."""
+    if command == "check":
+        return [command, cnf, write(tmp_path / "empty.lrat", "")]
+    return [command, cnf]
+
+
 class TestSolveExitCodes:
     def test_sat_is_10(self, tmp_path, capsys):
         cnf = write(tmp_path / "a.cnf", "p cnf 2 1\n1 -2 0\n")
@@ -66,15 +77,17 @@ class TestSolveExitCodes:
         assert "s UNKNOWN" in capsys.readouterr().out
 
     def test_missing_file_is_1(self, tmp_path, capsys):
-        rc = cli.main(["solve", str(tmp_path / "missing.cnf")])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        for command in CNF_COMMANDS:
+            rc = cli.main(cnf_argv(command, str(tmp_path / "missing.cnf"), tmp_path))
+            assert rc == 1, command
+            assert "error:" in capsys.readouterr().err, command
 
     def test_bad_dimacs_is_1(self, tmp_path, capsys):
         cnf = write(tmp_path / "bad.cnf", "p cnf 1 1\n1 2 0\n")
-        rc = cli.main(["solve", cnf])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        for command in CNF_COMMANDS:
+            rc = cli.main(cnf_argv(command, cnf, tmp_path))
+            assert rc == 1, command
+            assert "error: line 2:" in capsys.readouterr().err, command
 
 
 class TestPipelines:

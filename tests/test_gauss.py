@@ -66,13 +66,6 @@ class TestWorkedExample:
 
 
 class TestRowAlgebra:
-    def test_swap_rows(self):
-        eng = ParityEngine([ParityConstraint((1,), 1), ParityConstraint((2,), 0)])
-        eng.swap_rows(0, 1)
-        assert eng.row_constraint(0) == ParityConstraint((2,), 0)
-        assert eng.row_constraint(1) == ParityConstraint((1,), 1)
-        assert eng.origin_of(0) == (1,)
-
     def test_self_sum_asserts(self):
         eng = ParityEngine([ParityConstraint((1,), 1)])
         with pytest.raises(AssertionError):
@@ -83,16 +76,22 @@ class TestRowAlgebra:
         with pytest.raises(AssertionError):
             eng.eliminate_column(0, 1)
 
-    def test_row_version_tracks_modification_only(self):
+    def test_only_row_operations_modify_rows(self):
         eng = ParityEngine(
-            [ParityConstraint((1, 2), 1), ParityConstraint((1, 3), 0)]
+            [ParityConstraint((1, 2), 1), ParityConstraint((1, 3), 0),
+             ParityConstraint((2, 3), 1)]
         )
-        base = list(eng.row_version)
+        state = lambda: [(eng.rows[r], eng.phases[r], eng.shadow[r]) for r in range(3)]
+        base = state()
+        eng.start_watches()
         eng.on_assign(1, True)
-        assert eng.row_version == base
-        eng.eliminate_column(0, 0)
-        assert eng.row_version[1] == base[1] + 1
-        assert eng.row_version[0] == base[0]
+        eng.on_assign(2, False)
+        assert state() == base
+        eng.eliminate_column(0, 0)  # sums row 0 into row 1, the only other holder
+        now = state()
+        assert (now[0], now[2]) == (base[0], base[2])
+        assert eng.row_constraint(1) == ParityConstraint((2, 3), 1)
+        assert eng.origin_of(1) == (0, 1)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -102,10 +101,7 @@ class TestRowAlgebra:
         eng = ParityEngine(cons)
         n = eng.num_rows
         for _ in range(rng.randint(0, 25)):
-            op = rng.randint(0, 2)
-            if op == 0 and n >= 2:
-                eng.swap_rows(rng.randrange(n), rng.randrange(n))
-            elif op == 1 and n >= 2:
+            if rng.randint(0, 1) and n >= 2:
                 a, b = rng.sample(range(n), 2)
                 eng.add_row_into(a, b)
             else:

@@ -6,6 +6,8 @@ from io import StringIO
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xorcert import solver
+from xorcert.benchgen import LpnConfig, gen_lpn
 from xorcert.formula import CnfFormula, ParityConstraint, xor_encoding_clauses
 from xorcert.gauss import ReasonRecord
 from xorcert.lrat import check, parse_proof
@@ -225,6 +227,22 @@ class TestSearchMachinery:
             r = Solver(f, proof_sink=sink).solve()
             outs.append((r.status, r.conflicts, r.decisions, sink.getvalue()))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("use_xor", [False, True])
+    def test_activity_rescale_keeps_decision_order(self, monkeypatch, use_xor):
+        # rescaling divides every activity by the same factor, so the search
+        # must not notice it; a low threshold rescales many times per run
+        inst = gen_lpn(LpnConfig(n=12, bound_offset=True, seed=32013))
+        outs = []
+        for rescale in (None, 1e2):
+            if rescale is not None:
+                monkeypatch.setattr(solver, "ACT_RESCALE", rescale)
+            sink = StringIO()
+            r = Solver(inst.formula, use_xor=use_xor, proof_sink=sink,
+                       var_order=inst.var_order).solve()
+            outs.append((r.status, r.conflicts, r.decisions, sink.getvalue()))
+        assert outs[0][0] == UNSAT
+        assert outs[1] == outs[0]
 
     def test_luby_sequence(self):
         assert [luby(i) for i in range(1, 16)] == [

@@ -9,6 +9,8 @@ from xorcert.formula import CnfFormula, ParityConstraint, xor_encoding_clauses
 from xorcert.lrat import ProofWriter, Verified, check, parse_proof
 from xorcert.tbdd import ProofEngineError, Tbdd, TbddEngine
 
+from test_bdd import evaluate, plain_and
+
 
 class Bench:
     """A formula, a writer over a string buffer, and an engine on top."""
@@ -52,7 +54,7 @@ class TestFromClause:
             for bits in itertools.product([False, True], repeat=nv):
                 a = dict(zip(range(1, nv + 1), bits))
                 want = any((l > 0) == a[abs(l)] for l in cl)
-                assert b.engine.bdd.evaluate(t.root, a) == want
+                assert evaluate(b.engine.bdd, t.root, a) == want
             b.verify()
 
     def test_single_rup_step_after_definitions(self):
@@ -78,11 +80,12 @@ class TestAnd:
             b = Bench(CnfFormula(nv, cls))
             ta, tb = clause_tbdds(b)
             tw = b.engine.tbdd_and(ta, tb)
+            assert tw.root == plain_and(b.engine.bdd, ta.root, tb.root)
             for bits in itertools.product([False, True], repeat=nv):
                 a = dict(zip(range(1, nv + 1), bits))
                 want = all(any((l > 0) == a[abs(l)] for l in cl) for cl in cls)
                 got = tw.root == T1 or (
-                    tw.root != T0 and b.engine.bdd.evaluate(tw.root, a)
+                    tw.root != T0 and evaluate(b.engine.bdd, tw.root, a)
                 )
                 if tw.root in (T0, T1):
                     got = tw.root == T1
