@@ -7,6 +7,10 @@ clauses as hintless blocked steps, pivot first.  A Tbdd pairs a root node
 with the proof id of the unit clause asserting its extension variable, so
 holding a Tbdd means the proof has established that the root's function is
 implied by the input formula.
+
+Summing two parity constraints never builds their conjunction: one
+and-imply pass over (u, v, w) node triples proves that the two roots imply
+the sum's canonical parity BDD w directly.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ class TbddEngine:
         self.num_input_vars = num_input_vars
         self.defs: dict[int, dict[str, tuple[int, tuple[int, ...]]]] = {}
         self.and_cache: dict[tuple[int, int], tuple[int, int]] = {}
-        self.imply_cache: dict[tuple[int, int], int] = {}
+        self.and_imply_cache: dict[tuple[int, int, int], int] = {}
         self.pending_deletes: list[int] = []
         self.gc_node_threshold = 50_000
         self.bdd = Bdd(
@@ -103,8 +107,9 @@ class TbddEngine:
             _, jid = self.and_cache.pop(key)
             if jid:
                 self.pending_deletes.append(jid)
-        for key in [k for k in self.imply_cache if k[0] in fs or k[1] in fs]:
-            jid = self.imply_cache.pop(key)
+        for key in [k for k in self.and_imply_cache
+                    if k[0] in fs or k[1] in fs or k[2] in fs]:
+            jid = self.and_imply_cache.pop(key)
             if jid:
                 self.pending_deletes.append(jid)
 
@@ -264,47 +269,76 @@ class TbddEngine:
         self.flush_deletes()
         return out
 
-    # -- implication transfer ------------------------------------------------
+    # -- implication ---------------------------------------------------------
 
-    def _imply_j(self, u, v):
-        """jid proving [-u, v] (0 when tautological); raises when u does not
-        imply v, which callers treat as an internal solver bug."""
-        if u == v or u == T0 or v == T1:
-            return 0
-        if u == T1 or v == T0:
-            raise ProofEngineError(f"implication failure: {u} -> {v}")
-        key = (u, v)
-        hit = self.imply_cache.get(key)
-        if hit is not None:
-            return hit
+    def _and_imply_j(self, u, v, w):
+        """jid proving [-u, -v, w] (0 when tautological) without building
+        u AND v; v == T1 proves the implication [-u, w].  Raises when u AND v
+        does not imply w, which callers treat as an internal solver bug.
+
+        Walks (u, v, w) triples top-down on an explicit stack, each triple's
+        hi subtree, then its lo subtree, then its two lemmas, as a recursion
+        would, so the depth of a BDD is not bounded by Python's stack.
+        Triples are cached as (min(u, v), max(u, v), w)."""
         b = self.bdd
-        lu, lv = b.level(u), b.level(v)
-        lvl = min(lu, lv)
-        x = b.var_at[lvl]
-        uh, ul = (b.hi(u), b.lo(u)) if lu == lvl else (u, u)
-        vh, vl = (b.hi(v), b.lo(v)) if lv == lvl else (v, v)
-        jh = self._imply_j(uh, vh)
-        jl = self._imply_j(ul, vl)
-        step_h = self._emit_rup(
-            _clean((-x, -u, v)),
-            [
-                self._def_cand(u, HD) if lu == lvl else None,
-                (jh, _clean((-uh, vh))) if jh else None,
-                self._def_cand(v, HU) if lv == lvl else None,
-            ],
-        )
-        jid = self._emit_rup(
-            (-u, v),
-            [
-                (step_h, _clean((-x, -u, v))),
-                self._def_cand(u, LD) if lu == lvl else None,
-                (jl, _clean((-ul, vl))) if jl else None,
-                self._def_cand(v, LU) if lv == lvl else None,
-            ],
-        )
-        self.pending_deletes.append(step_h)
-        self.imply_cache[key] = jid
-        return jid
+        cache = self.and_imply_cache
+        root = (u, v, w)
+        done = []     # jids of finished triples, in completion order
+        todo = [root]  # triples to prove, and frames of expanded ones
+        while todo:
+            frame = todo.pop()
+            if len(frame) == 3:
+                u, v, w = frame
+                if u > v:
+                    u, v = v, u
+                if u == v:
+                    v = T1
+                if u == T0 or w == T1 or w == u or w == v:
+                    done.append(0)
+                    continue
+                if u == T1:
+                    raise ProofEngineError("implication failure: %d AND %d -> %d" % root)
+                key = (u, v, w)
+                hit = cache.get(key)
+                if hit is not None:
+                    done.append(hit)
+                    continue
+                lu, lv, lw = b.level(u), b.level(v), b.level(w)
+                lvl = min(lu, lv, lw)
+                uh, ul = (b.hi(u), b.lo(u)) if lu == lvl else (u, u)
+                vh, vl = (b.hi(v), b.lo(v)) if lv == lvl else (v, v)
+                wh, wl = (b.hi(w), b.lo(w)) if lw == lvl else (w, w)
+                todo.append((key, lvl, lu, lv, lw, uh, vh, wh, ul, vl, wl))
+                todo.append((ul, vl, wl))
+                todo.append((uh, vh, wh))
+                continue
+            (u, v, w), lvl, lu, lv, lw, uh, vh, wh, ul, vl, wl = frame
+            jl = done.pop()
+            jh = done.pop()
+            x = b.var_at[lvl]
+            step_h = self._emit_rup(
+                _clean((-x, -u, -v, w)),
+                [
+                    self._def_cand(u, HD) if lu == lvl else None,
+                    self._def_cand(v, HD) if lv == lvl else None,
+                    (jh, _clean((-uh, -vh, wh))) if jh else None,
+                    self._def_cand(w, HU) if lw == lvl else None,
+                ],
+            )
+            jid = self._emit_rup(
+                _clean((-u, -v, w)),
+                [
+                    (step_h, _clean((-x, -u, -v, w))),
+                    self._def_cand(u, LD) if lu == lvl else None,
+                    self._def_cand(v, LD) if lv == lvl else None,
+                    (jl, _clean((-ul, -vl, wl))) if jl else None,
+                    self._def_cand(w, LU) if lw == lvl else None,
+                ],
+            )
+            self.pending_deletes.append(step_h)
+            cache[(u, v, w)] = jid
+            done.append(jid)
+        return done.pop()
 
     def tbdd_upgrade(self, a: Tbdd, v_root) -> Tbdd:
         """Transfer trust from a.root to the implied node v_root."""
@@ -315,7 +349,7 @@ class TbddEngine:
             self.bdd.ref(v_root)
             out = Tbdd(v_root, uid)
         else:
-            jid = self._imply_j(a.root, v_root)
+            jid = self._and_imply_j(a.root, T1, v_root)
             uid = self._emit_rup(
                 _clean((v_root,)) or (),
                 [self._unit_cand(a), (jid, _clean((-a.root, v_root))) if jid else None],
@@ -352,19 +386,28 @@ class TbddEngine:
     # -- parity sums ---------------------------------------------------------
 
     def tbdd_xor_sum(self, a: Tbdd, b: Tbdd) -> Tbdd:
-        """Sum two trusted parity constraints: conjoin, then upgrade to the
-        canonical parity BDD of the combined constraint and discard the
-        conjunction, whose size would otherwise compound across sums."""
+        """Sum two trusted parity constraints: one and-imply pass proves
+        a.root AND b.root implies the canonical parity BDD w of the combined
+        constraint, and one step asserts w.  The conjunction is never built.
+        A false w makes that step the empty clause."""
         assert a.constraint is not None and b.constraint is not None
         pc = a.constraint.combine(b.constraint)
-        w = self.tbdd_and(a, b)
-        if w.root == T0:
-            w.constraint = pc
-            return w
-        v = self.bdd.parity_bdd(pc.vars, pc.phase)
-        out = self.tbdd_upgrade(w, v)
-        self.drop(w)
-        out.constraint = pc
+        w = self.bdd.parity_bdd(pc.vars, pc.phase)
+        if w == T1:
+            out = Tbdd(T1, 0, pc)
+        else:
+            jid = self._and_imply_j(a.root, b.root, w)
+            uid = self._emit_rup(
+                _clean((w,)) or (),
+                [
+                    self._unit_cand(a),
+                    self._unit_cand(b),
+                    (jid, _clean((-a.root, -b.root, w))) if jid else None,
+                ],
+            )
+            self.bdd.ref(w)
+            out = Tbdd(w, uid, pc)
+        self.flush_deletes()
         return out
 
     def greedy_sum(self, tbdds) -> Tbdd:
@@ -373,12 +416,12 @@ class TbddEngine:
         follow the input list, then creation order of intermediate sums."""
         assert tbdds
         items: dict[int, Tbdd] = dict(enumerate(tbdds))
+        sup = {i: frozenset(t.constraint.vars) for i, t in items.items()}
         owned = set()
         heap = []
         for i in items:
             for j in range(i + 1, len(tbdds)):
-                d = len(set(items[i].constraint.vars) ^ set(items[j].constraint.vars))
-                heap.append((d, i, j))
+                heap.append((len(sup[i] ^ sup[j]), i, j))
         heapq.heapify(heap)
         next_pos = len(tbdds)
         while len(items) > 1:
@@ -388,6 +431,7 @@ class TbddEngine:
             s = self.tbdd_xor_sum(items[i], items[j])
             for k in (i, j):
                 t = items.pop(k)
+                del sup[k]
                 if k in owned:
                     self.drop(t)
             if s.root == T0:
@@ -400,9 +444,9 @@ class TbddEngine:
                 return s
             pos = next_pos
             next_pos += 1
-            for k, t in items.items():
-                d = len(set(s.constraint.vars) ^ set(t.constraint.vars))
-                heapq.heappush(heap, (d, k, pos))
+            sup[pos] = frozenset(s.constraint.vars)
+            for k in items:
+                heapq.heappush(heap, (len(sup[k] ^ sup[pos]), k, pos))
             items[pos] = s
             owned.add(pos)
             self.maybe_collect()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xorcert import solver
-from xorcert.benchgen import LpnConfig, gen_lpn
+from xorcert.benchgen import LpnConfig, UrqConfig, gen_lpn, gen_urquhart
 from xorcert.formula import CnfFormula, ParityConstraint, xor_encoding_clauses
 from xorcert.gauss import ReasonRecord
 from xorcert.lrat import check, parse_proof
@@ -185,6 +185,17 @@ class TestParityReasoning:
         assert r.num_xors == 20
         res = assert_verified(f, sink.getvalue())
         assert res.deletes > 0
+
+    def test_urquhart_proof_size_guard(self):
+        # urq m=5 seed 6 is the m=5 instance of the benchmark's urq-refute
+        # workload at workload seed 1; summing through a conjunction BDD
+        # proved it in 89,817 adds, and-imply sums in 47,909
+        inst = gen_urquhart(UrqConfig(m=5, seed=6))
+        sink = StringIO()
+        r = Solver(inst.formula, proof_sink=sink).solve()
+        assert r.status == UNSAT
+        res = assert_verified(inst.formula, sink.getvalue())
+        assert res.adds <= 49_000
 
     def test_xor_disabled_still_refutes_clausally(self):
         clauses = []

@@ -267,6 +267,45 @@ class TestXorSum:
         bench.verify()
 
 
+    def test_sum_builds_no_conjunction(self):
+        # the only nodes a sum may create are those of its own parity BDD
+        rng = random.Random(23)
+        for _ in range(10):
+            ps = [
+                ParityConstraint(tuple(sorted(rng.sample(range(1, 8), rng.randint(2, 5)))),
+                                 rng.randint(0, 1))
+                for _ in range(2)
+            ]
+            bench, ts = xor_system_bench(ps, 7)
+            eng = bench.engine
+            created = eng.bdd.created_total
+            and_cache = dict(eng.and_cache)
+            s = eng.tbdd_xor_sum(ts[0], ts[1])
+            k = len(s.constraint.vars)
+            assert eng.bdd.created_total - created <= max(2 * k - 1, 0)
+            assert eng.and_cache == and_cache
+            bench.verify(refutation=s.root == T0)
+
+    def test_wrong_phase_target_raises(self):
+        ps = [ParityConstraint((1, 2, 3), 1), ParityConstraint((3, 4), 0)]
+        bench, ts = xor_system_bench(ps, 4)
+        eng = bench.engine
+        wrong = eng.bdd.parity_bdd((1, 2, 4), 0)
+        with pytest.raises(ProofEngineError):
+            eng._and_imply_j(ts[0].root, ts[1].root, wrong)
+
+    def test_deep_sum_within_default_recursion_limit(self):
+        # 700 disjoint pairs sum to one 1,400-variable constraint whose BDD
+        # is deeper than Python's default recursion limit
+        n = 700
+        ps = [ParityConstraint((i, n + i), i % 2) for i in range(1, n + 1)]
+        bench, ts = xor_system_bench(ps, 2 * n)
+        s = bench.engine.greedy_sum(ts)
+        assert s.constraint.vars == tuple(range(1, 2 * n + 1))
+        assert s.root == bench.engine.bdd.parity_bdd(s.constraint.vars, s.constraint.phase)
+        bench.verify()
+
+
 class TestGreedySum:
     def test_chain_cancellation(self):
         rng = random.Random(17)
@@ -334,6 +373,30 @@ class TestLifetimeAndGc:
         assert bench.engine.bdd.num_nodes() == 0
         res = bench.verify()
         assert res.deletes > 0
+
+    def test_collect_purges_and_imply_cache(self):
+        ps = [
+            ParityConstraint((1, 2, 3), 1),
+            ParityConstraint((3, 4), 0),
+            ParityConstraint((4, 5, 6), 1),
+            ParityConstraint((1, 6), 0),
+        ]
+        bench, ts = xor_system_bench(ps, 6)
+        eng = bench.engine
+        s1 = eng.tbdd_xor_sum(ts[0], ts[1])
+        s2 = eng.tbdd_xor_sum(ts[2], ts[3])
+        s3 = eng.tbdd_xor_sum(s1, s2)
+        keys = set(eng.and_imply_cache)
+        for t in (s1, s2, ts[0], ts[1]):
+            eng.drop(t)
+        eng.collect()
+        assert set(eng.and_imply_cache) < keys
+        live = set(eng.bdd.nodes) | {T0, T1}
+        assert all(n in live for key in eng.and_imply_cache for n in key)
+        steps = parse_proof(bench.buf.getvalue())
+        assert any(not hasattr(st, "lits") for st in steps), "expected delete steps"
+        bench.verify()
+        assert s3.root == eng.bdd.parity_bdd((2, 5), 0)
 
     def test_drop_is_single_use(self):
         b = Bench(CnfFormula(2, [(1, 2)]))
