@@ -4,7 +4,9 @@ Rows are Python ints used as bit vectors (bit j = column j), one phase bit
 per row.  A shadow matrix of the same row count, seeded to the identity,
 mirrors every row operation; the set bits of shadow row i name exactly the
 initial constraints whose GF(2) sum equals row i, which is what lets a
-proof layer rebuild any derived row from trusted inputs.
+proof layer rebuild any derived row from trusted inputs.  A column index,
+the transpose of the matrix kept as one bit set of rows per column, lets
+pivot search and elimination visit only the rows that hold a column.
 
 Propagation is incremental: each live row watches two unassigned columns,
 so only rows watching a newly assigned variable are examined.  A full-scan
@@ -60,6 +62,9 @@ class ParityEngine:
         self.rows: list[int] = []
         self.phases: list[int] = []
         self.shadow: list[int] = []
+        # column -> bit set of the rows with a 1 in it: the transpose of
+        # `rows`, kept exact by every row operation
+        self.col_rows: list[int] = [0] * len(column_vars)
         for i, p in enumerate(self.constraints):
             m = 0
             for v in p.vars:
@@ -67,6 +72,8 @@ class ParityEngine:
             self.rows.append(m)
             self.phases.append(p.phase)
             self.shadow.append(1 << i)
+            for c in _bits(m):
+                self.col_rows[c] |= 1 << i
         self.pivot_of_row: dict[int, int] = {}
         # propagation state
         self.value: dict[int, bool] = {}
@@ -88,32 +95,42 @@ class ParityEngine:
 
     def add_row_into(self, src: int, dst: int):
         assert src != dst, "a row is never summed into itself"
-        self.rows[dst] ^= self.rows[src]
-        self.phases[dst] ^= self.phases[src]
-        self.shadow[dst] ^= self.shadow[src]
+        self._add_row_into_set(src, 1 << dst)
+
+    def _add_row_into_set(self, src: int, dsts: int):
+        """Sum row `src` into every row in the bit set `dsts`; the column
+        index takes one update per column of `src`, not one per row."""
+        m, ph, sh = self.rows[src], self.phases[src], self.shadow[src]
+        rows, phases, shadow = self.rows, self.phases, self.shadow
+        for r in _bits(dsts):
+            rows[r] ^= m
+            phases[r] ^= ph
+            shadow[r] ^= sh
+        # src rows fill in to thousands of columns, where scanning the binary
+        # text beats peeling one bit at a time off a long int
+        col_rows = self.col_rows
+        text = bin(m)
+        top = len(text) - 1
+        i = text.find("1", 2)
+        while i > 0:
+            col_rows[top - i] ^= dsts
+            i = text.find("1", i + 1)
 
     def eliminate_column(self, pivot_row: int, col: int):
         """Sum the pivot row into every other row with a 1 in `col`."""
-        bit = 1 << col
-        assert self.rows[pivot_row] & bit, "pivot row lacks the pivot column"
-        for r in range(len(self.rows)):
-            if r != pivot_row and self.rows[r] & bit:
-                self.add_row_into(pivot_row, r)
+        assert self.rows[pivot_row] >> col & 1, "pivot row lacks the pivot column"
+        self._add_row_into_set(pivot_row, self.col_rows[col] & ~(1 << pivot_row))
 
     def full_reduce(self):
         """Reduced row echelon form; pivots taken column-by-column in the
         fixed order, first eligible row wins."""
-        pivot_rows = set()
-        for col in range(len(self.var_of_col)):
-            bit = 1 << col
-            pr = next(
-                (r for r in range(len(self.rows))
-                 if r not in pivot_rows and self.rows[r] & bit),
-                None,
-            )
-            if pr is None:
+        pivot_rows = 0
+        for col in range(len(self.col_rows)):
+            eligible = self.col_rows[col] & ~pivot_rows
+            if not eligible:
                 continue
-            pivot_rows.add(pr)
+            pr = (eligible & -eligible).bit_length() - 1
+            pivot_rows |= 1 << pr
             self.pivot_of_row[pr] = col
             self.eliminate_column(pr, col)
 

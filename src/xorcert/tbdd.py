@@ -272,9 +272,10 @@ class TbddEngine:
     # -- implication ---------------------------------------------------------
 
     def _and_imply_j(self, u, v, w):
-        """jid proving [-u, -v, w] (0 when tautological) without building
-        u AND v; v == T1 proves the implication [-u, w].  Raises when u AND v
-        does not imply w, which callers treat as an internal solver bug.
+        """Hint candidate (jid, clause) proving [-u, -v, w] (None when
+        tautological) without building u AND v; v == T1 proves the
+        implication [-u, w].  Raises when u AND v does not imply w, which
+        callers treat as an internal solver bug.
 
         Walks (u, v, w) triples top-down on an explicit stack, each triple's
         hi subtree, then its lo subtree, then its two lemmas, as a recursion
@@ -283,7 +284,7 @@ class TbddEngine:
         b = self.bdd
         cache = self.and_imply_cache
         root = (u, v, w)
-        done = []     # jids of finished triples, in completion order
+        done = []     # candidates of finished triples, in completion order
         todo = [root]  # triples to prove, and frames of expanded ones
         while todo:
             frame = todo.pop()
@@ -294,14 +295,14 @@ class TbddEngine:
                 if u == v:
                     v = T1
                 if u == T0 or w == T1 or w == u or w == v:
-                    done.append(0)
+                    done.append(None)
                     continue
                 if u == T1:
                     raise ProofEngineError("implication failure: %d AND %d -> %d" % root)
                 key = (u, v, w)
                 hit = cache.get(key)
                 if hit is not None:
-                    done.append(hit)
+                    done.append((hit, _clean((-u, -v, w))))
                     continue
                 lu, lv, lw = b.level(u), b.level(v), b.level(w)
                 lvl = min(lu, lv, lw)
@@ -313,31 +314,33 @@ class TbddEngine:
                 todo.append((uh, vh, wh))
                 continue
             (u, v, w), lvl, lu, lv, lw, uh, vh, wh, ul, vl, wl = frame
-            jl = done.pop()
-            jh = done.pop()
+            lo_cand = done.pop()
+            hi_cand = done.pop()
             x = b.var_at[lvl]
+            hi_clause = _clean((-x, -u, -v, w))
             step_h = self._emit_rup(
-                _clean((-x, -u, -v, w)),
+                hi_clause,
                 [
                     self._def_cand(u, HD) if lu == lvl else None,
                     self._def_cand(v, HD) if lv == lvl else None,
-                    (jh, _clean((-uh, -vh, wh))) if jh else None,
+                    hi_cand,
                     self._def_cand(w, HU) if lw == lvl else None,
                 ],
             )
+            target = _clean((-u, -v, w))
             jid = self._emit_rup(
-                _clean((-u, -v, w)),
+                target,
                 [
-                    (step_h, _clean((-x, -u, -v, w))),
+                    (step_h, hi_clause),
                     self._def_cand(u, LD) if lu == lvl else None,
                     self._def_cand(v, LD) if lv == lvl else None,
-                    (jl, _clean((-ul, -vl, wl))) if jl else None,
+                    lo_cand,
                     self._def_cand(w, LU) if lw == lvl else None,
                 ],
             )
             self.pending_deletes.append(step_h)
             cache[(u, v, w)] = jid
-            done.append(jid)
+            done.append((jid, target))
         return done.pop()
 
     def tbdd_upgrade(self, a: Tbdd, v_root) -> Tbdd:
@@ -349,10 +352,9 @@ class TbddEngine:
             self.bdd.ref(v_root)
             out = Tbdd(v_root, uid)
         else:
-            jid = self._and_imply_j(a.root, T1, v_root)
             uid = self._emit_rup(
                 _clean((v_root,)) or (),
-                [self._unit_cand(a), (jid, _clean((-a.root, v_root))) if jid else None],
+                [self._unit_cand(a), self._and_imply_j(a.root, T1, v_root)],
             )
             self.bdd.ref(v_root)
             out = Tbdd(v_root, uid)
@@ -396,13 +398,12 @@ class TbddEngine:
         if w == T1:
             out = Tbdd(T1, 0, pc)
         else:
-            jid = self._and_imply_j(a.root, b.root, w)
             uid = self._emit_rup(
                 _clean((w,)) or (),
                 [
                     self._unit_cand(a),
                     self._unit_cand(b),
-                    (jid, _clean((-a.root, -b.root, w))) if jid else None,
+                    self._and_imply_j(a.root, b.root, w),
                 ],
             )
             self.bdd.ref(w)
@@ -411,27 +412,41 @@ class TbddEngine:
         return out
 
     def greedy_sum(self, tbdds) -> Tbdd:
-        """Fold constraints by repeatedly summing the pair with the smallest
-        symmetric difference; ties break on lowest position pair.  Positions
-        follow the input list, then creation order of intermediate sums."""
+        """Fold constraints by repeatedly summing, among the pairs of live
+        items that share a variable, the one with the smallest symmetric
+        difference; ties break on lowest position pair.  When no two live
+        items share a variable, the two lowest positions are summed.
+        Positions follow the input list, then creation order of intermediate
+        sums.  Only overlapping pairs enter the heap, found through a
+        variable -> live positions index, and stale pairs are dropped as
+        they reach the top."""
         assert tbdds
         items: dict[int, Tbdd] = dict(enumerate(tbdds))
         sup = {i: frozenset(t.constraint.vars) for i, t in items.items()}
         owned = set()
+        holders: dict[int, set[int]] = {}
+        for i, vs in sup.items():
+            for x in vs:
+                holders.setdefault(x, set()).add(i)
         heap = []
-        for i in items:
-            for j in range(i + 1, len(tbdds)):
-                heap.append((len(sup[i] ^ sup[j]), i, j))
+        for i, vs in sup.items():
+            for j in set().union(*(holders[x] for x in vs)):
+                if j > i:
+                    heap.append((len(vs ^ sup[j]), i, j))
         heapq.heapify(heap)
         next_pos = len(tbdds)
         while len(items) > 1:
-            d, i, j = heapq.heappop(heap)
-            if i not in items or j not in items:
-                continue
+            while heap and (heap[0][1] not in items or heap[0][2] not in items):
+                heapq.heappop(heap)
+            if heap:
+                _, i, j = heapq.heappop(heap)
+            else:
+                i, j = heapq.nsmallest(2, items)
             s = self.tbdd_xor_sum(items[i], items[j])
             for k in (i, j):
                 t = items.pop(k)
-                del sup[k]
+                for x in sup.pop(k):
+                    holders[x].discard(k)
                 if k in owned:
                     self.drop(t)
             if s.root == T0:
@@ -444,9 +459,11 @@ class TbddEngine:
                 return s
             pos = next_pos
             next_pos += 1
-            sup[pos] = frozenset(s.constraint.vars)
-            for k in items:
-                heapq.heappush(heap, (len(sup[k] ^ sup[pos]), k, pos))
+            vs = sup[pos] = frozenset(s.constraint.vars)
+            for k in set().union(*(holders[x] for x in vs)):
+                heapq.heappush(heap, (len(sup[k] ^ vs), k, pos))
+            for x in vs:
+                holders[x].add(pos)
             items[pos] = s
             owned.add(pos)
             self.maybe_collect()

@@ -126,6 +126,45 @@ class TestRowAlgebra:
         for r in range(eng.num_rows):
             assert semantic_row(eng, r) == eng.row_constraint(r)
 
+    @pytest.mark.parametrize("seed", range(200))
+    def test_full_reduce_matches_row_scan(self, seed):
+        rng = random.Random(seed)
+        nvars = rng.randint(1, 40)
+        cons = small_system(rng, nvars=nvars, nrows=rng.randint(1, 40), allow_empty=True)
+        eng = ParityEngine(cons, column_vars=rng.sample(range(1, nvars + 1), nvars))
+        n = eng.num_rows
+        for _ in range(rng.randint(0, 5)):
+            if n >= 2:
+                eng.add_row_into(*rng.sample(range(n), 2))
+        want = reference_full_reduce(eng)
+        eng.full_reduce()
+        assert (eng.rows, eng.phases, eng.shadow, eng.pivot_of_row) == want
+        assert eng.col_rows == [
+            sum(1 << r for r in range(n) if eng.rows[r] >> c & 1)
+            for c in range(len(eng.var_of_col))
+        ]
+
+
+def reference_full_reduce(eng):
+    """(rows, phases, shadow, pivot_of_row) after Gauss-Jordan by plain row
+    scans: for each column in order the first row not yet a pivot that has
+    a 1 there becomes its pivot and is summed into every other holder."""
+    rows, phases, shadow = list(eng.rows), list(eng.phases), list(eng.shadow)
+    pivot_of_row = {}
+    for col in range(len(eng.var_of_col)):
+        bit = 1 << col
+        pr = next((r for r in range(len(rows))
+                   if r not in pivot_of_row and rows[r] & bit), None)
+        if pr is None:
+            continue
+        pivot_of_row[pr] = col
+        for r in range(len(rows)):
+            if r != pr and rows[r] & bit:
+                rows[r] ^= rows[pr]
+                phases[r] ^= phases[pr]
+                shadow[r] ^= shadow[pr]
+    return rows, phases, shadow, pivot_of_row
+
 
 def implied_by(cons, clause, nvars):
     """True when every total assignment satisfying all of `cons` satisfies

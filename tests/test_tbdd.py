@@ -1,12 +1,15 @@
+import heapq
 import io
 import itertools
 import random
+import types
 
 import pytest
 
 from xorcert.bdd import T0, T1
 from xorcert.formula import CnfFormula, ParityConstraint, xor_encoding_clauses
 from xorcert.lrat import ProofWriter, Verified, check, parse_proof
+from xorcert import tbdd as tbdd_module
 from xorcert.tbdd import ProofEngineError, Tbdd, TbddEngine
 
 from test_bdd import evaluate, plain_and
@@ -355,6 +358,57 @@ class TestGreedySum:
         s = bench.engine.greedy_sum(ts)
         assert s.constraint.vars == (1, 3, 4, 5)
         bench.verify()
+
+    def test_heap_stays_linear_on_a_chain(self, monkeypatch):
+        # every pair of a 400-link chain would put 79,800 entries in the
+        # heap; pairs that share a variable number 399
+        n = 400
+        ps = [ParityConstraint((i, i + 1), 0) for i in range(1, n + 1)]
+        peak = 0
+
+        def tracked(op):
+            def run(heap, *args):
+                nonlocal peak
+                out = op(heap, *args)
+                peak = max(peak, len(heap))
+                return out
+            return run
+
+        monkeypatch.setattr(tbdd_module, "heapq", types.SimpleNamespace(
+            heapify=tracked(heapq.heapify),
+            heappush=tracked(heapq.heappush),
+            heappop=tracked(heapq.heappop),
+            nsmallest=heapq.nsmallest,
+        ))
+        bench, ts = xor_system_bench(ps, n + 1)
+        s = bench.engine.greedy_sum(ts)
+        assert s.constraint.vars == (1, n + 1) and s.constraint.phase == 0
+        assert 0 < peak <= 2 * n
+        bench.verify()
+
+    def test_disjoint_components_fall_back_to_position_order(self):
+        # two components with no variable in common, plus an isolated unit,
+        # interleaved so that position order and component order differ
+        ps = [
+            ParityConstraint((1, 2), 1),
+            ParityConstraint((5, 6), 0),
+            ParityConstraint((8,), 1),
+            ParityConstraint((2, 3), 0),
+            ParityConstraint((6, 7), 1),
+            ParityConstraint((3, 4), 1),
+        ]
+        total = ps[0]
+        for p in ps[1:]:
+            total = total.combine(p)
+        runs = []
+        for _ in range(2):
+            bench, ts = xor_system_bench(ps, 8)
+            s = bench.engine.greedy_sum(ts)
+            assert s.constraint == total
+            assert s.root == bench.engine.bdd.parity_bdd(total.vars, total.phase)
+            bench.verify()
+            runs.append(bench.buf.getvalue())
+        assert runs[0] == runs[1]
 
 
 class TestLifetimeAndGc:
