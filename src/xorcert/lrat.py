@@ -16,6 +16,7 @@ length of the proof.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import neg
 from typing import NamedTuple
@@ -170,8 +171,10 @@ def check(f: CnfFormula, steps, refutation: bool = True):
     """
     live: dict[int, tuple[int, ...]] = {i: cl for i, cl in enumerate(f.clauses, start=1)}
     # occurrence lists are kept only for variables beyond the input range;
-    # those are the only legal pivots of definition steps
-    occ: dict[int, set[int]] = {}
+    # those are the only legal pivots of definition steps.  Each list holds
+    # the ids of the live clauses on its variable once, ascending, since ids
+    # are appended in step order; an emptied list is dropped.
+    occ: dict[int, list[int]] = {}
     max_id = f.num_clauses
     nvars = f.num_vars
     visits = 0
@@ -194,11 +197,16 @@ def check(f: CnfFormula, steps, refutation: bool = True):
                 for l in cl:
                     v = l if l > 0 else -l
                     if v > nvars:
-                        s = occ.get(v)
-                        if s is not None:
-                            s.discard(d)
-                            if not s:
-                                del occ[v]
+                        ids = occ.get(v)
+                        # gone, or without d, when an earlier literal of this
+                        # clause on the same variable removed d
+                        if ids is not None:
+                            i = bisect_left(ids, d)
+                            if i < len(ids) and ids[i] == d:
+                                if len(ids) == 1:
+                                    del occ[v]
+                                else:
+                                    del ids[i]
             deletes += len(step.ids)
             continue
 
@@ -250,7 +258,11 @@ def check(f: CnfFormula, steps, refutation: bool = True):
         for l in lits:
             v = l if l > 0 else -l
             if v > nvars:
-                occ.setdefault(v, set()).add(sid)
+                ids = occ.get(v)
+                if ids is None:
+                    occ[v] = [sid]
+                elif ids[-1] != sid:  # a repeat of the variable in this clause
+                    ids.append(sid)
         adds += 1
         if not lits:
             has_empty = True

@@ -75,6 +75,7 @@ class SolveResult:
     proof_deletes: int = 0
     ext_vars: int = 0
     peak_bdd_nodes: int = 0
+    gc_collections: int = 0
     stop_reason: str = "done"
 
 
@@ -226,7 +227,8 @@ class Solver:
 
     def _build_xor_tbdd(self, con):
         """Conjoin the constraint's own encoding clauses, then upgrade the
-        result to the canonical parity BDD it must equal."""
+        result to the canonical parity BDD it must equal.  The conjunctions
+        are garbage afterwards, so the BDD table may be collected."""
         tb = self.tb
         acc = None
         for cid in con.source_clauses:
@@ -243,6 +245,7 @@ class Solver:
         up.constraint = con
         tb.drop(acc)
         tb.flush_deletes()
+        tb.maybe_collect()
         return up
 
     def _prepare_parity(self):
@@ -562,6 +565,7 @@ class Solver:
         if self.tb is not None:
             res.ext_vars = self.tb.bdd.created_total
             res.peak_bdd_nodes = self.tb.bdd.peak_nodes
+            res.gc_collections = self.tb.gc_collections
         return res
 
 

@@ -21,7 +21,15 @@ from dataclasses import dataclass, field
 from .bdd import T0, T1, TRUE_SENTINEL, Bdd
 from .formula import ParityConstraint
 
-HD, LD, HU, LU = "hd", "ld", "hu", "lu"
+# slots of a node's defining clauses in TbddEngine.defs
+HD, LD, HU, LU = 0, 1, 2, 3
+
+# A collection runs once the table holds more than L + max(GC_MIN_GROWTH,
+# L // GC_GROWTH_DIV) nodes, where L is the count the previous collection
+# left live (0 at start): the table stays within a constant factor of the
+# live nodes, and each collection is paid for by that many new nodes.
+GC_MIN_GROWTH = 10_000
+GC_GROWTH_DIV = 4
 
 
 class ProofEngineError(Exception):
@@ -64,11 +72,14 @@ class TbddEngine:
     def __init__(self, order, writer, num_input_vars: int):
         self.writer = writer
         self.num_input_vars = num_input_vars
-        self.defs: dict[int, dict[str, tuple[int, tuple[int, ...]]]] = {}
+        # node -> its (id, clause) defining steps by slot HD, LD, HU, LU;
+        # None where the clause is a tautology
+        self.defs: dict[int, tuple] = {}
         self.and_cache: dict[tuple[int, int], tuple[int, int]] = {}
         self.and_imply_cache: dict[tuple[int, int, int], int] = {}
         self.pending_deletes: list[int] = []
-        self.gc_node_threshold = 50_000
+        self.gc_live = 0  # nodes left live by the last collection
+        self.gc_collections = 0
         self.bdd = Bdd(
             order,
             first_id=num_input_vars + 1,
@@ -85,22 +96,17 @@ class TbddEngine:
         its pivot against only its own siblings.
         """
         w = self.writer
-        entry = {}
-        for role, shape in (
-            (HD, (-ref, -var, hi)),
-            (LD, (-ref, var, lo)),
-            (HU, (ref, -var, -hi)),
-            (LU, (ref, var, -lo)),
-        ):
+        entry = []
+        for shape in ((-ref, -var, hi), (-ref, var, lo), (ref, -var, -hi), (ref, var, -lo)):
             cl = _clean(shape)
-            if cl is not None:
-                entry[role] = (w.add(cl, ()), cl)
-        self.defs[ref] = entry
+            entry.append(None if cl is None else (w.add(cl, ()), cl))
+        self.defs[ref] = tuple(entry)
 
     def _reclaim_nodes(self, freed):
         for ref in freed:
-            for cid, _ in self.defs.pop(ref).values():
-                self.pending_deletes.append(cid)
+            for cand in self.defs.pop(ref):
+                if cand is not None:
+                    self.pending_deletes.append(cand[0])
         fs = set(freed)
         for key in [k for k, (w, _) in self.and_cache.items()
                     if k[0] in fs or k[1] in fs or w in fs]:
@@ -117,9 +123,12 @@ class TbddEngine:
         """Reclaim unreferenced nodes and flush the delete backlog."""
         self.bdd.garbage_collect()
         self.flush_deletes()
+        self.gc_live = self.bdd.num_nodes()
+        self.gc_collections += 1
 
     def maybe_collect(self):
-        if self.bdd.num_nodes() > self.gc_node_threshold:
+        live = self.gc_live
+        if self.bdd.num_nodes() > live + max(GC_MIN_GROWTH, live // GC_GROWTH_DIV):
             self.collect()
 
     def flush_deletes(self):
@@ -164,7 +173,8 @@ class TbddEngine:
         raise ProofEngineError(f"no conflict while deriving {lits}")
 
     def _def_cand(self, u, role):
-        return self.defs[u].get(role) if u in self.defs else None
+        d = self.defs.get(u)
+        return None if d is None else d[role]
 
     @staticmethod
     def _unit_cand(t: Tbdd):

@@ -273,7 +273,7 @@ class TestRunReport:
         "instance", "mode", "status", "wall_time", "conflicts", "decisions",
         "propagations", "parity_propagations", "restarts", "num_xors",
         "proof_adds", "proof_deletes", "ext_vars", "peak_bdd_nodes",
-        "stop_reason", "par2",
+        "gc_collections", "stop_reason", "par2",
     }
 
     def test_report_fields_present(self, tmp_path):

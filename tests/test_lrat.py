@@ -1,9 +1,12 @@
 import io
 import random
+import tracemalloc
+from operator import neg
 
 import pytest
 from test_acceptance import _robustness_corpus, mutate_one
 
+from xorcert.benchgen import UrqConfig, gen_urquhart
 from xorcert.formula import CnfFormula, parse_dimacs
 from xorcert.lrat import (
     AddStep,
@@ -18,6 +21,7 @@ from xorcert.lrat import (
     iter_proof,
     parse_proof,
 )
+from xorcert.solver import UNSAT, Solver
 
 
 def steps_of(*triples):
@@ -204,6 +208,13 @@ class TestDefinitionSteps:
         r = check(f, steps, refutation=False)
         assert isinstance(r, Rejected) and "pivot not fresh" in r.reason
 
+    def test_rejection_names_lowest_clash_partner(self):
+        # a set of clause ids per variable named 81 here, its hash order
+        f = CnfFormula(2, [(1, 2)])
+        steps = steps_of((73, (-3, 1), ()), (81, (-3, -1), ()), (82, (3, 2), ()))
+        r = check(f, steps, refutation=False)
+        assert isinstance(r, Rejected) and r.reason.endswith("resolvent with 73")
+
     def test_literal_node_definition_pair(self):
         f = CnfFormula(2, [(1, 2)])
         steps = steps_of((2, (-3, 1), ()), (3, (3, -1), ()))
@@ -300,6 +311,102 @@ def reference_parse(text: str) -> list:
     return steps
 
 
+def reference_check(f: CnfFormula, steps, refutation: bool = True):
+    """The checker that preceded the compact one, with a set of clause ids
+    per extension variable, kept as the oracle for the differential tests
+    below."""
+    live: dict[int, tuple[int, ...]] = {i: cl for i, cl in enumerate(f.clauses, start=1)}
+    # occurrence lists are kept only for variables beyond the input range;
+    # those are the only legal pivots of definition steps
+    occ: dict[int, set[int]] = {}
+    max_id = f.num_clauses
+    nvars = f.num_vars
+    visits = 0
+    adds = deletes = 0
+    has_empty = False
+
+    for step in steps:
+        sid = step.id
+        if has_empty:
+            return Rejected(sid, "step after empty clause")
+        if sid <= max_id:
+            return Rejected(sid, f"id reuse: {sid} not above {max_id}")
+        max_id = sid
+
+        if isinstance(step, DeleteStep):
+            for d in step.ids:
+                cl = live.pop(d, None)
+                if cl is None:
+                    return Rejected(sid, f"delete of non-live id {d}")
+                for l in cl:
+                    v = l if l > 0 else -l
+                    if v > nvars:
+                        s = occ.get(v)
+                        if s is not None:
+                            s.discard(d)
+                            if not s:
+                                del occ[v]
+            deletes += len(step.ids)
+            continue
+
+        lits = step.lits
+        hints = step.hints
+        if hints:
+            # reverse unit propagation, driven by the hints alone: `false`
+            # holds the literals assumed or propagated false.  A tautology
+            # needs no hints.
+            false = set(lits)
+            if false.isdisjoint(map(neg, lits)):
+                last = len(hints) - 1
+                for pos, h in enumerate(hints):
+                    cl = live.get(h)
+                    if cl is None:
+                        return Rejected(sid, f"bad hint: id {h} not live")
+                    unit = 0  # none yet: 0 is never a literal
+                    for l in cl:
+                        visits += 1
+                        if l in false:
+                            continue
+                        if unit or -l in false:
+                            return Rejected(sid, f"hint {h} neither unit nor falsified")
+                        unit = l
+                    if unit:
+                        false.add(-unit)
+                    elif pos != last:
+                        return Rejected(sid, f"conflict at hint {h} before final hint")
+                if unit:
+                    return Rejected(sid, "no conflict after final hint")
+        else:
+            if not lits:
+                return Rejected(sid, "empty clause needs hints")
+            pivot = lits[0]
+            pv = pivot if pivot > 0 else -pivot
+            if pv <= nvars:
+                return Rejected(sid, f"pivot not fresh: variable {pv} is an input variable")
+            rest = set(lits[1:])
+            for cid in occ.get(pv, ()):
+                d = live[cid]
+                if -pivot not in d:
+                    continue
+                # blocked check: every resolvent on the pivot must be a tautology
+                if not any(-l in rest for l in d if l != -pivot):
+                    return Rejected(
+                        sid, f"pivot not fresh: non-tautological resolvent with {cid}"
+                    )
+        live[sid] = lits
+        for l in lits:
+            v = l if l > 0 else -l
+            if v > nvars:
+                occ.setdefault(v, set()).add(sid)
+        adds += 1
+        if not lits:
+            has_empty = True
+
+    if refutation and not has_empty:
+        return Rejected(max_id, "refutation lacks empty clause")
+    return Verified(adds + deletes, adds, deletes, visits, has_empty)
+
+
 @pytest.fixture(scope="module")
 def mutated_proofs():
     """At least 1,000 proof-side mutations from the criterion-7 generator."""
@@ -372,3 +479,83 @@ class TestStreamingParser:
         add, delete = AddStep(9, (-1,), (3,)), DeleteStep(10, (9,))
         assert add == (9, (-1,), (3,)) and delete.ids == (9,)
         assert not hasattr(add, "ids") and hasattr(delete, "ids")
+
+
+def _outcome(checker, f, lines):
+    """checker's verdict on the streamed proof text, or the text of the
+    syntax error that stopped the stream."""
+    try:
+        return checker(f, iter_proof(lines))
+    except ProofSyntaxError as e:
+        return str(e)
+
+
+class TestCompactChecker:
+    """`check` against `reference_check`: verdict, step id, reason and
+    Verified counts."""
+
+    def test_matches_reference_on_mutated_proofs(self, mutated_proofs):
+        kinds = set()
+        for f, text in mutated_proofs:
+            lines = text.splitlines()
+            want = _outcome(reference_check, f, lines)
+            assert _outcome(check, f, lines) == want
+            kinds.add(type(want))
+        assert {Verified, Rejected, str} <= kinds
+
+    @staticmethod
+    def same(f, *triples, refutation=False):
+        steps = steps_of(*triples)
+        got = check(f, steps, refutation=refutation)
+        assert got == reference_check(f, steps, refutation=refutation)
+        return got
+
+    def test_definition_after_its_only_clash_partner_is_deleted(self):
+        f = CnfFormula(2, [(1, 2)])
+        clash = ((2, (-3, 1), ()), (3, (3, 2), ()))  # resolvent (1, 2)
+        r = self.same(f, *clash)
+        assert isinstance(r, Rejected) and "resolvent with 2" in r.reason
+        assert self.same(f, clash[0], (3, "d", (2,)), (4, (3, 2), ())).ok
+
+    def test_deleted_clause_repeating_an_extension_variable(self):
+        f = CnfFormula(2, [(1, 2)])
+        for first in ((-3, 1, -3), (-3, 1, 3), (-3, -3, 3, 1)):
+            # clause 3 stays live on variable 3 after clause 2 goes
+            head = ((2, first, ()), (3, (3, 2, -1), ()), (4, "d", (2,)))
+            r = self.same(f, *head, (5, (-3,), ()))
+            assert isinstance(r, Rejected) and "resolvent with 3" in r.reason
+            assert self.same(f, *head, (5, "d", (3,)), (6, (-3,), ())).ok
+
+    def test_occurrence_list_empties_and_refills(self):
+        f = CnfFormula(2, [(1, 2)])
+        head = ((2, (-3, 1), ()), (3, "d", (2,)), (4, (-3, 2), ()))
+        r = self.same(f, *head, (5, (3, 1), ()))
+        assert isinstance(r, Rejected) and "resolvent with 4" in r.reason
+        assert self.same(f, *head, (5, (3, -2), ())).ok
+
+    def test_huge_sparse_step_ids(self):
+        r = self.same(PHI, (10**15, (1,), (1, 2)), (10**18, (), (10**15, 3, 4)),
+                      refutation=True)
+        assert r.ok and r.has_empty
+
+
+def test_check_memory_follows_live_clauses():
+    # urq m=5 seed 6 is the m=5 instance of the benchmark's urq-refute
+    # workload; the proof streams from its lines as `xorcert check` reads it
+    f = gen_urquhart(UrqConfig(m=5, seed=6)).formula
+    sink = io.StringIO()
+    assert Solver(f, proof_sink=sink).solve().status == UNSAT
+    lines = sink.getvalue().splitlines()
+    live = peak = f.num_clauses
+    for st in iter_proof(lines):
+        live += -len(st.ids) if isinstance(st, DeleteStep) else 1
+        peak = max(peak, live)
+    tracemalloc.start()
+    try:
+        res = check(f, iter_proof(lines))
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.ok
+    # the set-per-variable checker needed 473 bytes per clause here
+    assert traced <= 400 * peak

@@ -6,7 +6,7 @@ from io import StringIO
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xorcert import solver
+from xorcert import solver, tbdd
 from xorcert.benchgen import LpnConfig, UrqConfig, gen_lpn, gen_urquhart
 from xorcert.formula import CnfFormula, ParityConstraint, xor_encoding_clauses
 from xorcert.gauss import ReasonRecord
@@ -196,6 +196,20 @@ class TestParityReasoning:
         assert r.status == UNSAT
         res = assert_verified(inst.formula, sink.getvalue())
         assert res.adds <= 49_000
+
+    def test_xor_bdd_build_collects(self, monkeypatch):
+        # the conjunctions behind each recovered XOR's BDD are garbage once
+        # it is built; here collecting them adds deletions to the proof and
+        # nothing else
+        inst = gen_urquhart(UrqConfig(m=5, seed=6))
+        plain = Solver(inst.formula, proof_sink=StringIO()).solve()
+        monkeypatch.setattr(tbdd, "GC_MIN_GROWTH", 500)
+        sink = StringIO()
+        r = Solver(inst.formula, proof_sink=sink).solve()
+        assert r.status == UNSAT and r.proof_adds == plain.proof_adds
+        # 4,651 when only the parity sums collect
+        assert r.peak_bdd_nodes <= 3_000 and r.gc_collections > 0
+        assert_verified(inst.formula, sink.getvalue())
 
     def test_xor_disabled_still_refutes_clausally(self):
         clauses = []

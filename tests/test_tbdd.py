@@ -452,6 +452,38 @@ class TestLifetimeAndGc:
         bench.verify()
         assert s3.root == eng.bdd.parity_bdd((2, 5), 0)
 
+    def test_collections_follow_growth_rule(self, monkeypatch):
+        # a collection needs more than max(floor, L / GC_GROWTH_DIV) nodes
+        # built since the previous one, which left L nodes live; a fixed
+        # threshold at the floor would collect after every sum here
+        floor = 50
+        monkeypatch.setattr(tbdd_module, "GC_MIN_GROWTH", floor)
+        # links x_i + x_{i+1} + z_i with a private z_i, so sums widen as
+        # they climb and each level leaves the one below as garbage
+        n = 200
+        ps = [ParityConstraint((i, i + 1, n + 1 + i), i % 2) for i in range(1, n + 1)]
+        bench, ts = xor_system_bench(ps, 2 * n + 1)
+        eng = bench.engine
+        log = []  # (nodes created so far, nodes left live) per collection
+        collect = eng.collect
+
+        def logged():
+            collect()
+            log.append((eng.bdd.created_total, eng.bdd.num_nodes()))
+
+        eng.collect = logged
+        s = eng.greedy_sum(ts)
+        assert s.constraint == ParityConstraint((1, *range(n + 1, 2 * n + 2)), n // 2 % 2)
+        assert len(log) >= 3
+        made = live = 0
+        for created, after in log:
+            assert created - made > max(floor, live / tbdd_module.GC_GROWTH_DIV)
+            made, live = created, after
+        assert max(live for _, live in log) > floor * tbdd_module.GC_GROWTH_DIV
+        assert len(log) <= eng.bdd.created_total // floor + 1
+        assert eng.gc_collections == len(log)
+        bench.verify()
+
     def test_drop_is_single_use(self):
         b = Bench(CnfFormula(2, [(1, 2)]))
         (t,) = clause_tbdds(b)
