@@ -221,6 +221,8 @@ def gen_lpn(cfg: LpnConfig) -> LpnInstance:
         raise ValueError("n must be at least 4")
     if not 0.0 <= cfg.corrupt_prob < 1.0:
         raise ValueError("corrupt_prob must lie in [0, 1)")
+    if cfg.num_rows < 1:
+        raise ValueError("m must be at least 1")
     rng = random.Random(cfg.seed)
     n, m = cfg.n, cfg.num_rows
     target = tuple(rng.getrandbits(1) for _ in range(n))

@@ -30,15 +30,16 @@ ERROR = "ERROR"
 ENGINE_ERRORS = (RecursionError, ProofEngineError, BddCapacityError)
 
 
-def _env_seed() -> int:
-    try:
-        return int(os.environ.get("XORCERT_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 class _InputError(Exception):
     """Unusable input: `main` prints `error: <message>` and exits 1."""
+
+
+def _env_seed() -> int:
+    text = os.environ.get("XORCERT_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise _InputError(f"XORCERT_SEED must be an integer, not {text!r}") from None
 
 
 def _read_cnf(path: str):
@@ -52,7 +53,7 @@ def _read_cnf(path: str):
 def _read_xors(args):
     """The formula in args.cnf and the parity constraints recovered from it."""
     f = _read_cnf(args.cnf)
-    cons = extract_xors(f, max_arity=args.max_arity)
+    cons = extract_xors(f)
     if not cons:
         raise _InputError("no parity constraints recovered")
     return f, cons
@@ -261,7 +262,10 @@ def _bench_task(task):
 
 def _parse_range(text):
     lo, _, hi = text.partition(":")
-    return range(int(lo), int(hi) + 1)
+    try:
+        return range(int(lo), int(hi) + 1)
+    except ValueError:
+        raise _InputError(f"range must be LO:HI with integer ends, not {text!r}") from None
 
 
 def cmd_bench(args) -> int:
@@ -416,14 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     dp = sub.add_parser("bdd-dump", help="DOT dump of a recovered constraint's BDD")
     dp.add_argument("cnf")
     dp.add_argument("-i", "--index", type=int, default=0)
-    dp.add_argument("--max-arity", type=int, default=6)
     dp.add_argument("-o", "--output", default=None)
     dp.set_defaults(fn=cmd_bdd_dump)
 
     tp = sub.add_parser("gj-trace", help="dump the parity matrix and its shadow")
     tp.add_argument("cnf")
     tp.add_argument("--reduce", action="store_true", help="dump after full reduction")
-    tp.add_argument("--max-arity", type=int, default=6)
     tp.add_argument("-o", "--output", default=None)
     tp.set_defaults(fn=cmd_gj_trace)
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formula import ParityConstraint
-
 PROPAGATION = "propagation"
 CONFLICT = "conflict"
 
@@ -80,15 +78,7 @@ class ParityEngine:
         self.watches: dict[int, set[int]] = {}   # var -> rows watching it
         self.row_watch: list[tuple[int, int] | None] = [None] * len(self.rows)
 
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
     # -- row algebra ---------------------------------------------------------
-
-    def row_constraint(self, r: int) -> ParityConstraint:
-        vs = tuple(self.var_of_col[c] for c in _bits(self.rows[r]))
-        return ParityConstraint(vs, self.phases[r])
 
     def origin_of(self, r: int) -> tuple[int, ...]:
         return tuple(_bits(self.shadow[r]))

@@ -53,10 +53,6 @@ def delete_line(sid, ids) -> str:
     return " ".join(map(str, (sid, "d", *ids, 0)))
 
 
-def format_step(step) -> str:
-    return add_line(*step) if isinstance(step, AddStep) else delete_line(*step)
-
-
 def iter_proof(lines):
     """Yield the steps of the proof text in `lines`, one line at a time.
 

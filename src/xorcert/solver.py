@@ -567,7 +567,3 @@ class Solver:
             res.peak_bdd_nodes = self.tb.bdd.peak_nodes
             res.gc_collections = self.tb.gc_collections
         return res
-
-
-def solve_formula(f: CnfFormula, **kw) -> SolveResult:
-    return Solver(f, **kw).solve()

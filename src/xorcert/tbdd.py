@@ -8,9 +8,11 @@ with the proof id of the unit clause asserting its extension variable, so
 holding a Tbdd means the proof has established that the root's function is
 implied by the input formula.
 
-Summing two parity constraints never builds their conjunction: one
-and-imply pass over (u, v, w) node triples proves that the two roots imply
-the sum's canonical parity BDD w directly.
+Conjunction and implication share one walk over (u, v, w) node triples
+and one lemma cache: a conjunction builds w from the walk, an implication
+is handed w.  Summing two parity constraints is an implication, so it never
+builds their conjunction: one pass proves that the two roots imply the
+sum's canonical parity BDD w directly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .bdd import T0, T1, TRUE_SENTINEL, Bdd
+from .bdd import _LEVEL_TERM, T0, T1, TRUE_SENTINEL, Bdd
 from .formula import ParityConstraint
 
 # slots of a node's defining clauses in TbddEngine.defs
@@ -75,7 +77,6 @@ class TbddEngine:
         # node -> its (id, clause) defining steps by slot HD, LD, HU, LU;
         # None where the clause is a tautology
         self.defs: dict[int, tuple] = {}
-        self.and_cache: dict[tuple[int, int], tuple[int, int]] = {}
         self.and_imply_cache: dict[tuple[int, int, int], int] = {}
         self.pending_deletes: list[int] = []
         self.gc_live = 0  # nodes left live by the last collection
@@ -108,11 +109,6 @@ class TbddEngine:
                 if cand is not None:
                     self.pending_deletes.append(cand[0])
         fs = set(freed)
-        for key in [k for k, (w, _) in self.and_cache.items()
-                    if k[0] in fs or k[1] in fs or w in fs]:
-            _, jid = self.and_cache.pop(key)
-            if jid:
-                self.pending_deletes.append(jid)
         for key in [k for k in self.and_imply_cache
                     if k[0] in fs or k[1] in fs or k[2] in fs]:
             jid = self.and_imply_cache.pop(key)
@@ -208,168 +204,130 @@ class TbddEngine:
         b.ref(rest)
         return Tbdd(rest, uid)
 
-    # -- conjunction ---------------------------------------------------------
+    # -- conjunction and implication -----------------------------------------
 
-    def _and_j(self, u, v):
-        """(w, jid): w = u AND v, jid proves [-u, -v, w] (0 when tautological)."""
-        if u == T0 or v == T0:
-            return T0, 0
-        if u == T1 or u == v:
-            return v, 0
-        if v == T1:
-            return u, 0
-        key = (u, v) if u <= v else (v, u)
-        hit = self.and_cache.get(key)
-        if hit is not None:
-            return hit
-        b = self.bdd
-        lu, lv = b.level(u), b.level(v)
-        lvl = min(lu, lv)
-        x = b.var_at[lvl]
-        uh, ul = (b.hi(u), b.lo(u)) if lu == lvl else (u, u)
-        vh, vl = (b.hi(v), b.lo(v)) if lv == lvl else (v, v)
-        wh, jh = self._and_j(uh, vh)
-        wl, jl = self._and_j(ul, vl)
-        w = b.mk_node(x, wh, wl) if wh != wl else wh
-        target = _clean((-u, -v, w))
-        if target is None:
-            self.and_cache[key] = (w, 0)
-            return w, 0
-        step_h = self._emit_rup(
-            _clean((-x, -u, -v, w)),
-            [
-                self._def_cand(u, HD) if lu == lvl else None,
-                self._def_cand(v, HD) if lv == lvl else None,
-                (jh, _clean((-uh, -vh, wh))) if jh else None,
-                self._def_cand(w, HU) if not b.is_terminal(w) and b.level(w) == lvl else None,
-            ],
-        )
-        jid = self._emit_rup(
-            target,
-            [
-                (step_h, _clean((-x, -u, -v, w))),
-                self._def_cand(u, LD) if lu == lvl else None,
-                self._def_cand(v, LD) if lv == lvl else None,
-                (jl, _clean((-ul, -vl, wl))) if jl else None,
-                self._def_cand(w, LU) if not b.is_terminal(w) and b.level(w) == lvl else None,
-            ],
-        )
-        self.pending_deletes.append(step_h)
-        self.and_cache[key] = (w, jid)
-        return w, jid
+    def _and_imply_j(self, u, v, w=None):
+        """(w, cand), cand being the hint candidate (jid, clause) that proves
+        [-u, -v, w], or None when that clause is tautological.
 
-    def tbdd_and(self, a: Tbdd, b: Tbdd) -> Tbdd:
-        """Conjunction with proof: emits the unit clause for the result root.
-        A false result root makes that unit the empty clause."""
-        w, jid = self._and_j(a.root, b.root)
-        if w == T1:
-            out = Tbdd(T1, 0)
-        else:
-            target = _clean((w,)) or ()
-            uid = self._emit_rup(
-                target,
-                [
-                    self._unit_cand(a),
-                    self._unit_cand(b),
-                    (jid, _clean((-a.root, -b.root, w))) if jid else None,
-                ],
-            )
-            self.bdd.ref(w)
-            out = Tbdd(w, uid)
-        self.flush_deletes()
-        return out
-
-    # -- implication ---------------------------------------------------------
-
-    def _and_imply_j(self, u, v, w):
-        """Hint candidate (jid, clause) proving [-u, -v, w] (None when
-        tautological) without building u AND v; v == T1 proves the
-        implication [-u, w].  Raises when u AND v does not imply w, which
-        callers treat as an internal solver bug.
+        With w None, builds w = u AND v.  Given w, proves that u AND v
+        implies w without building u AND v, and v == T1 proves [-u, w];
+        raises when the implication fails, which callers treat as an
+        internal solver bug.
 
         Walks (u, v, w) triples top-down on an explicit stack, each triple's
         hi subtree, then its lo subtree, then its two lemmas, as a recursion
-        would, so the depth of a BDD is not bounded by Python's stack.
-        Triples are cached as (min(u, v), max(u, v), w)."""
+        would, so the depth of a BDD is not bounded by Python's stack.  A
+        conjunction makes each triple's w from its children's and memoises
+        (u, v) -> (w, cand) for the call.  Lemmas of both modes are cached
+        as (min(u, v), max(u, v), w)."""
         b = self.bdd
         cache = self.and_imply_cache
+        build = w is None
+        memo = {}
         root = (u, v, w)
-        done = []     # candidates of finished triples, in completion order
+        done = []     # (w, cand) of finished triples, in completion order
         todo = [root]  # triples to prove, and frames of expanded ones
         while todo:
             frame = todo.pop()
             if len(frame) == 3:
                 u, v, w = frame
-                if u > v:
-                    u, v = v, u
-                if u == v:
-                    v = T1
-                if u == T0 or w == T1 or w == u or w == v:
-                    done.append(None)
-                    continue
-                if u == T1:
-                    raise ProofEngineError("implication failure: %d AND %d -> %d" % root)
-                key = (u, v, w)
-                hit = cache.get(key)
-                if hit is not None:
-                    done.append((hit, _clean((-u, -v, w))))
-                    continue
-                lu, lv, lw = b.level(u), b.level(v), b.level(w)
+                if build:
+                    if u == T0 or v == T1 or u == v:
+                        done.append((u, None))
+                        continue
+                    if v == T0 or u == T1:
+                        done.append((v, None))
+                        continue
+                    hit = memo.get((u, v) if u < v else (v, u))
+                    if hit is not None:
+                        done.append(hit)
+                        continue
+                    lw = _LEVEL_TERM
+                else:
+                    if u > v:
+                        u, v = v, u
+                    if u == v:
+                        v = T1
+                    if u == T0 or w == T1 or w == u or w == v:
+                        done.append((w, None))
+                        continue
+                    if u == T1:
+                        raise ProofEngineError("implication failure: %d AND %d -> %d" % root)
+                    hit = cache.get((u, v, w))
+                    if hit is not None:
+                        done.append((w, (hit, _clean((-u, -v, w)))))
+                        continue
+                    lw = b.level(w)
+                lu, lv = b.level(u), b.level(v)
                 lvl = min(lu, lv, lw)
                 uh, ul = (b.hi(u), b.lo(u)) if lu == lvl else (u, u)
                 vh, vl = (b.hi(v), b.lo(v)) if lv == lvl else (v, v)
                 wh, wl = (b.hi(w), b.lo(w)) if lw == lvl else (w, w)
-                todo.append((key, lvl, lu, lv, lw, uh, vh, wh, ul, vl, wl))
+                todo.append((u, v, w, lvl, lu == lvl, lv == lvl))
                 todo.append((ul, vl, wl))
                 todo.append((uh, vh, wh))
                 continue
-            (u, v, w), lvl, lu, lv, lw, uh, vh, wh, ul, vl, wl = frame
-            lo_cand = done.pop()
-            hi_cand = done.pop()
+            u, v, w, lvl, u_at, v_at = frame
+            wl, lo_cand = done.pop()
+            wh, hi_cand = done.pop()
             x = b.var_at[lvl]
-            hi_clause = _clean((-x, -u, -v, w))
-            step_h = self._emit_rup(
-                hi_clause,
-                [
-                    self._def_cand(u, HD) if lu == lvl else None,
-                    self._def_cand(v, HD) if lv == lvl else None,
-                    hi_cand,
-                    self._def_cand(w, HU) if lw == lvl else None,
-                ],
-            )
+            if build:
+                w = b.mk_node(x, wh, wl)
+            key = (u, v, w) if u < v else (v, u, w)
             target = _clean((-u, -v, w))
-            jid = self._emit_rup(
-                target,
-                [
-                    (step_h, hi_clause),
-                    self._def_cand(u, LD) if lu == lvl else None,
-                    self._def_cand(v, LD) if lv == lvl else None,
-                    lo_cand,
-                    self._def_cand(w, LU) if lw == lvl else None,
-                ],
-            )
-            self.pending_deletes.append(step_h)
-            cache[(u, v, w)] = jid
-            done.append((jid, target))
+            if target is not None and key not in cache:
+                w_at = b.level(w) == lvl
+                hi_clause = _clean((-x, -u, -v, w))
+                step_h = self._emit_rup(
+                    hi_clause,
+                    [
+                        self._def_cand(u, HD) if u_at else None,
+                        self._def_cand(v, HD) if v_at else None,
+                        hi_cand,
+                        self._def_cand(w, HU) if w_at else None,
+                    ],
+                )
+                jid = self._emit_rup(
+                    target,
+                    [
+                        (step_h, hi_clause),
+                        self._def_cand(u, LD) if u_at else None,
+                        self._def_cand(v, LD) if v_at else None,
+                        lo_cand,
+                        self._def_cand(w, LU) if w_at else None,
+                    ],
+                )
+                self.pending_deletes.append(step_h)
+                cache[key] = jid
+            cand = None if target is None else (cache[key], target)
+            if build:
+                memo[key[:2]] = (w, cand)
+            done.append((w, cand))
         return done.pop()
+
+    def _assert_root(self, w, cands, constraint=None) -> Tbdd:
+        """Trusted BDD of root w: one RUP step for [w] from `cands`, or none
+        when w is the true terminal.  A false w makes that step the empty
+        clause."""
+        if w == T1:
+            out = Tbdd(T1, 0, constraint)
+        else:
+            uid = self._emit_rup(_clean((w,)) or (), cands)
+            self.bdd.ref(w)
+            out = Tbdd(w, uid, constraint)
+        self.flush_deletes()
+        return out
+
+    def tbdd_and(self, a: Tbdd, b: Tbdd) -> Tbdd:
+        """Conjunction with proof: emits the unit clause for the result root."""
+        w, cand = self._and_imply_j(a.root, b.root)
+        return self._assert_root(w, [self._unit_cand(a), self._unit_cand(b), cand])
 
     def tbdd_upgrade(self, a: Tbdd, v_root) -> Tbdd:
         """Transfer trust from a.root to the implied node v_root."""
-        if v_root == T1:
-            out = Tbdd(T1, 0)
-        elif a.root == v_root:
-            uid = self._emit_rup(_clean((v_root,)) or (), [self._unit_cand(a)])
-            self.bdd.ref(v_root)
-            out = Tbdd(v_root, uid)
-        else:
-            uid = self._emit_rup(
-                _clean((v_root,)) or (),
-                [self._unit_cand(a), self._and_imply_j(a.root, T1, v_root)],
-            )
-            self.bdd.ref(v_root)
-            out = Tbdd(v_root, uid)
-        self.flush_deletes()
-        return out
+        _, cand = self._and_imply_j(a.root, T1, v_root)
+        return self._assert_root(v_root, [self._unit_cand(a), cand])
 
     # -- clause justification ------------------------------------------------
 
@@ -405,21 +363,8 @@ class TbddEngine:
         assert a.constraint is not None and b.constraint is not None
         pc = a.constraint.combine(b.constraint)
         w = self.bdd.parity_bdd(pc.vars, pc.phase)
-        if w == T1:
-            out = Tbdd(T1, 0, pc)
-        else:
-            uid = self._emit_rup(
-                _clean((w,)) or (),
-                [
-                    self._unit_cand(a),
-                    self._unit_cand(b),
-                    self._and_imply_j(a.root, b.root, w),
-                ],
-            )
-            self.bdd.ref(w)
-            out = Tbdd(w, uid, pc)
-        self.flush_deletes()
-        return out
+        _, cand = self._and_imply_j(a.root, b.root, w)
+        return self._assert_root(w, [self._unit_cand(a), self._unit_cand(b), cand], pc)
 
     def greedy_sum(self, tbdds) -> Tbdd:
         """Fold constraints by repeatedly summing, among the pairs of live

@@ -127,6 +127,37 @@ class TestPipelines:
         assert "error:" in capsys.readouterr().err
 
 
+class TestBadOptionValues:
+    """Each bad value exits 1 with one `error:` line and writes nothing."""
+
+    def one_error(self, capsys, argv):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        return err
+
+    def test_lpn_without_rows_in_degenerate_branch(self, capsys):
+        err = self.one_error(capsys, ["gen", "lpn", "-n", "4", "--m", "0", "--unsat"])
+        assert "m must be at least 1" in err
+
+    def test_lpn_negative_rows(self, capsys):
+        self.one_error(capsys, ["gen", "lpn", "-n", "8", "--m", "-3"])
+
+    def test_range_without_colon(self, capsys):
+        err = self.one_error(capsys, ["bench", "urq", "--m-range", "3"])
+        assert "'3'" in err
+
+    def test_range_with_bad_ends(self, capsys):
+        err = self.one_error(capsys, ["bench", "lpn", "--n-range", "x:y"])
+        assert "'x:y'" in err
+
+    def test_non_integer_seed_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("XORCERT_SEED", "abc")
+        err = self.one_error(capsys, ["gen", "urquhart", "-m", "3"])
+        assert "XORCERT_SEED" in err and "'abc'" in err
+
+
 class TestSolveInputErrors:
     def test_short_var_order_file(self, tmp_path, capsys):
         cnf = str(tmp_path / "u3.cnf")

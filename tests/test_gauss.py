@@ -19,6 +19,13 @@ def small_system(rng, nvars=6, nrows=6, allow_empty=False):
     return cons
 
 
+def row_constraint(eng, r):
+    """Row r of the matrix as a constraint over its columns' variables."""
+    m = eng.rows[r]
+    vs = tuple(eng.var_of_col[c] for c in range(m.bit_length()) if m >> c & 1)
+    return ParityConstraint(vs, eng.phases[r])
+
+
 def semantic_row(eng, r):
     """Fold the initial constraints named by the shadow row."""
     acc = ParityConstraint((), 0)
@@ -90,7 +97,7 @@ class TestRowAlgebra:
         eng.eliminate_column(0, 0)  # sums row 0 into row 1, the only other holder
         now = state()
         assert (now[0], now[2]) == (base[0], base[2])
-        assert eng.row_constraint(1) == ParityConstraint((2, 3), 1)
+        assert row_constraint(eng, 1) == ParityConstraint((2, 3), 1)
         assert eng.origin_of(1) == (0, 1)
 
     @settings(max_examples=100, deadline=None)
@@ -99,7 +106,7 @@ class TestRowAlgebra:
         rng = random.Random(seed)
         cons = small_system(rng, allow_empty=True)
         eng = ParityEngine(cons)
-        n = eng.num_rows
+        n = len(eng.rows)
         for _ in range(rng.randint(0, 25)):
             if rng.randint(0, 1) and n >= 2:
                 a, b = rng.sample(range(n), 2)
@@ -111,7 +118,7 @@ class TestRowAlgebra:
                 if cols:
                     eng.eliminate_column(r, rng.choice(cols))
         for r in range(n):
-            assert semantic_row(eng, r) == eng.row_constraint(r)
+            assert semantic_row(eng, r) == row_constraint(eng, r)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -121,10 +128,10 @@ class TestRowAlgebra:
         eng = ParityEngine(cons)
         eng.full_reduce()
         for pr, col in eng.pivot_of_row.items():
-            holders = [r for r in range(eng.num_rows) if eng.rows[r] >> col & 1]
+            holders = [r for r in range(len(eng.rows)) if eng.rows[r] >> col & 1]
             assert holders == [pr]
-        for r in range(eng.num_rows):
-            assert semantic_row(eng, r) == eng.row_constraint(r)
+        for r in range(len(eng.rows)):
+            assert semantic_row(eng, r) == row_constraint(eng, r)
 
     @pytest.mark.parametrize("seed", range(200))
     def test_full_reduce_matches_row_scan(self, seed):
@@ -132,7 +139,7 @@ class TestRowAlgebra:
         nvars = rng.randint(1, 40)
         cons = small_system(rng, nvars=nvars, nrows=rng.randint(1, 40), allow_empty=True)
         eng = ParityEngine(cons, column_vars=rng.sample(range(1, nvars + 1), nvars))
-        n = eng.num_rows
+        n = len(eng.rows)
         for _ in range(rng.randint(0, 5)):
             if n >= 2:
                 eng.add_row_into(*rng.sample(range(n), 2))
@@ -186,7 +193,7 @@ def check_record_shape(eng, rec, assigned):
         rest = rec.clause
     for l in rest:
         assert assigned[abs(l)] == (l < 0), "premise literal must be falsified"
-    assert semantic_row(eng, rec.row) == eng.row_constraint(rec.row)
+    assert semantic_row(eng, rec.row) == row_constraint(eng, rec.row)
 
 
 class TestFullScanPropagate:

@@ -16,12 +16,17 @@ from xorcert.lrat import (
     ProofWriter,
     Rejected,
     Verified,
+    add_line,
     check,
-    format_step,
+    delete_line,
     iter_proof,
     parse_proof,
 )
 from xorcert.solver import UNSAT, Solver
+
+
+def format_step(step) -> str:
+    return add_line(*step) if isinstance(step, AddStep) else delete_line(*step)
 
 
 def steps_of(*triples):

@@ -11,7 +11,13 @@ from xorcert.benchgen import LpnConfig, UrqConfig, gen_lpn, gen_urquhart
 from xorcert.formula import CnfFormula, ParityConstraint, xor_encoding_clauses
 from xorcert.gauss import ReasonRecord
 from xorcert.lrat import check, parse_proof
-from xorcert.solver import LIMIT, SAT, UNSAT, Solver, luby, solve_formula
+from xorcert.solver import LIMIT, SAT, UNSAT, Solver, luby
+
+from test_gauss import row_constraint
+
+
+def solve_formula(f: CnfFormula, **kw):
+    return Solver(f, **kw).solve()
 
 
 # -- oracles ----------------------------------------------------------------
@@ -312,7 +318,7 @@ class TestRowModificationInvalidatesJustificationCache:
     def test_cache_hit_then_invalidation(self):
         f, s, sink = self.build()
         # after reduction row 0 is x1^x3=0 with origin {0,1}
-        assert s.par.row_constraint(0) == ParityConstraint((1, 3), 0)
+        assert row_constraint(s.par, 0) == ParityConstraint((1, 3), 0)
         recs = s.par.propagate({1: True})
         rec = next(r for r in recs if r.row == 0)
         pid1 = s._justify(rec)
@@ -321,7 +327,7 @@ class TestRowModificationInvalidatesJustificationCache:
         assert s.writer.adds == adds_after_first, "second call must hit the cache"
         # modify the row; the cached sum must be dropped and rebuilt
         s.par.add_row_into(1, 0)
-        assert s.par.row_constraint(0) == ParityConstraint((1, 2), 1)
+        assert row_constraint(s.par, 0) == ParityConstraint((1, 2), 1)
         rec2 = next(r for r in s.par.propagate({1: True}) if r.row == 0)
         pid2 = s._justify(rec2)
         assert pid2 != pid1

@@ -110,6 +110,67 @@ class TestAnd:
         assert tw.root == ta.root
         b.verify()
 
+    def test_deep_conjunction_within_default_recursion_limit(self):
+        # each clause's BDD is a 1,500-node chain, deeper than Python's
+        # default recursion limit
+        n = 1500
+        wide = tuple(range(1, n + 1))
+        b = Bench(CnfFormula(n, [wide, wide[:-1] + (-n,)]))
+        ta, tb = clause_tbdds(b)
+        tw = b.engine.tbdd_and(ta, tb)
+        want = T0
+        for x in reversed(wide[:-1]):
+            want = b.engine.bdd.mk_node(x, T1, want)
+        assert tw.root == want
+        b.verify()
+
+    def test_parity_conjunction_walk_is_polynomial(self, monkeypatch):
+        # parity(x1..x40) and parity(x2..x41), each summed from 2-variable
+        # XORs, meet in at most 4 node pairs per level, but along 2^40
+        # paths: a walk without its (u, v) memo revisits pairs without end.
+        # Walked triples are counted through the walk's level lookups.
+        n = 40
+        ps = [ParityConstraint((i, i + 1), i % 2) for i in range(1, n + 1)]
+        bench, ts = xor_system_bench(ps, n + 1)
+        eng = bench.engine
+        pu = eng.greedy_sum(ts[0::2])
+        pv = eng.greedy_sum(ts[1::2])
+        assert pu.constraint.vars == tuple(range(1, n + 1))
+        assert pv.constraint.vars == tuple(range(2, n + 2))
+        size_u = size_v = 2 * n - 1
+        bound = 3 * size_u * size_v
+        lookups = 0
+        level = eng.bdd.level
+
+        def counted(u):
+            nonlocal lookups
+            lookups += 1
+            assert lookups <= bound, "walk revisits (u, v) pairs"
+            return level(u)
+
+        monkeypatch.setattr(eng.bdd, "level", counted)
+        tw = eng.tbdd_and(pu, pv)
+        monkeypatch.undo()
+        assert lookups > 0
+        for bits in itertools.product([False, True], repeat=4):
+            a = {i: False for i in range(1, n + 2)}
+            a.update({1: bits[0], 2: bits[1], n: bits[2], n + 1: bits[3]})
+            want = pu.constraint.satisfied_by(a) and pv.constraint.satisfied_by(a)
+            assert evaluate(eng.bdd, tw.root, a) == want
+        bench.verify()
+
+    def test_conjunction_lemmas_serve_implication(self):
+        p = ParityConstraint((1, 2, 3), 1)
+        b = Bench(CnfFormula(3, xor_encoding_clauses(p)))
+        ta, tb, *_ = clause_tbdds(b)
+        tw = b.engine.tbdd_and(ta, tb)
+        assert tw.root not in (ta.root, tb.root)
+        before = b.writer.adds
+        w, cand = b.engine._and_imply_j(ta.root, tb.root, tw.root)
+        assert w == tw.root and cand is not None
+        assert b.writer.adds == before
+        b.verify()
+
 
 class TestUpgrade:
     def test_identity_transfer_single_step(self):
@@ -282,11 +343,9 @@ class TestXorSum:
             bench, ts = xor_system_bench(ps, 7)
             eng = bench.engine
             created = eng.bdd.created_total
-            and_cache = dict(eng.and_cache)
             s = eng.tbdd_xor_sum(ts[0], ts[1])
             k = len(s.constraint.vars)
             assert eng.bdd.created_total - created <= max(2 * k - 1, 0)
-            assert eng.and_cache == and_cache
             bench.verify(refutation=s.root == T0)
 
     def test_wrong_phase_target_raises(self):
