@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -40,6 +41,11 @@ def _env_seed() -> int:
         return int(text)
     except ValueError:
         raise _InputError(f"XORCERT_SEED must be an integer, not {text!r}") from None
+
+
+def _check_timeout(timeout):
+    if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        raise _InputError(f"--timeout must be a positive number of seconds, not {timeout}")
 
 
 def _read_cnf(path: str):
@@ -112,6 +118,9 @@ def _run_solver(solver) -> SolveResult:
 
 
 def cmd_solve(args) -> int:
+    _check_timeout(args.timeout)
+    if args.max_proof_clauses < 1:
+        raise _InputError(f"--max-proof-clauses must be at least 1, not {args.max_proof_clauses}")
     f = _read_cnf(args.cnf)
     var_order = None
     if args.var_order:
@@ -269,6 +278,7 @@ def _parse_range(text):
 
 
 def cmd_bench(args) -> int:
+    _check_timeout(args.timeout)
     tasks = []
     seed = args.seed if args.seed is not None else _env_seed()
     if args.family == "urq":

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .formula import CnfFormula, extract_xors
 from .gauss import CONFLICT, ParityEngine
 from .lrat import DEFAULT_MAX_PROOF_CLAUSES, ProofLimitExceeded, ProofWriter
-from .tbdd import TbddEngine
+from .tbdd import DeadlineExceeded, TbddEngine
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -52,11 +52,6 @@ def luby(i: int) -> int:
     if i == (1 << k) - 1:
         return 1 << (k - 1)
     return luby(i - (1 << (k - 1)) + 1)
-
-
-class _Stop(Exception):
-    def __init__(self, reason):
-        self.reason = reason
 
 
 @dataclass
@@ -113,6 +108,7 @@ class Solver:
         self.f = formula
         self.use_xor = use_xor
         self.timeout = timeout
+        self.deadline: float | None = None  # set by solve from timeout
         n = formula.num_vars
         self.order = checked_order(var_order, n)
         self.writer = None
@@ -226,27 +222,13 @@ class Solver:
     # -- parity preparation --------------------------------------------------
 
     def _build_xor_tbdd(self, con):
-        """Conjoin the constraint's own encoding clauses, then upgrade the
-        result to the canonical parity BDD it must equal.  The conjunctions
-        are garbage afterwards, so the BDD table may be collected."""
-        tb = self.tb
-        acc = None
-        for cid in con.source_clauses:
-            t = tb.tbdd_from_clause(self.f.clause(cid), cid)
-            if acc is None:
-                acc = t
-            else:
-                nxt = tb.tbdd_and(acc, t)
-                tb.drop(acc)
-                tb.drop(t)
-                acc = nxt
-        target = tb.bdd.parity_bdd(con.vars, con.phase)
-        up = tb.tbdd_upgrade(acc, target)
-        up.constraint = con
-        tb.drop(acc)
-        tb.flush_deletes()
-        tb.maybe_collect()
-        return up
+        """The constraint's canonical parity BDD, proved straight from its
+        own encoding clauses by `TbddEngine.tbdd_from_xor`.  Every node it
+        creates stays reachable from the root, so nothing is collectable."""
+        self._check_time()
+        return self.tb.tbdd_from_xor(
+            con, [(cid, self.f.clause(cid)) for cid in con.source_clauses]
+        )
 
     def _prepare_parity(self):
         self.xors = extract_xors(self.f)
@@ -256,7 +238,7 @@ class Solver:
         cols = [v for v in self.order if v in support]
         self.par = ParityEngine(self.xors, column_vars=cols)
         if self.writer is not None:
-            self.tb = TbddEngine(self.order, self.writer, self.f.num_vars)
+            self.tb = TbddEngine(self.order, self.writer, self.f.num_vars, self.deadline)
             self.xor_tbdds = [self._build_xor_tbdd(c) for c in self.xors]
         self.par.full_reduce()
 
@@ -447,9 +429,9 @@ class Solver:
 
     # -- top level -----------------------------------------------------------
 
-    def _check_time(self, t0):
-        if self.timeout is not None and time.monotonic() - t0 > self.timeout:
-            raise _Stop("timeout")
+    def _check_time(self):
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise DeadlineExceeded("deadline passed")
 
     def _init_constraints(self):
         """Level-0 setup: input units, empty input clauses, parity rows that
@@ -492,7 +474,7 @@ class Solver:
             assert con.satisfied_by(asg), f"model violates recovered constraint {con}"
         return sorted((v if asg[v] else -v) for v in range(1, self.f.num_vars + 1))
 
-    def _search(self, t0):
+    def _search(self):
         while True:
             confl = self._propagate()
             if confl is not None:
@@ -507,9 +489,9 @@ class Solver:
                 asserting, rlits, rpid = self._learn(learned, hints)
                 self._backtrack(bj)
                 self._enqueue(asserting, rlits, rpid)
-                self._check_time(t0)
+                self._check_time()
                 continue
-            self._check_time(t0)
+            self._check_time()
             if (
                 self.level > 0
                 and self.conflicts_cur >= luby(self.restarts + 1) * RESTART_BASE
@@ -527,6 +509,8 @@ class Solver:
 
     def solve(self) -> SolveResult:
         t0 = time.monotonic()
+        if self.timeout is not None:
+            self.deadline = t0 + self.timeout
         status = None
         stop = "done"
         model = None
@@ -537,12 +521,12 @@ class Solver:
             self.conflicts_cur = 0
             status = self._init_constraints()
             if status is None:
-                status = self._search(t0)
+                status = self._search()
             if status == SAT:
                 model = self._verify_model()
-        except _Stop as s:
+        except DeadlineExceeded:
             status = LIMIT
-            stop = s.reason
+            stop = "timeout"
         except ProofLimitExceeded:
             status = LIMIT
             stop = "proof-budget"

@@ -8,16 +8,20 @@ with the proof id of the unit clause asserting its extension variable, so
 holding a Tbdd means the proof has established that the root's function is
 implied by the input formula.
 
-Conjunction and implication share one walk over (u, v, w) node triples
-and one lemma cache: a conjunction builds w from the walk, an implication
-is handed w.  Summing two parity constraints is an implication, so it never
-builds their conjunction: one pass proves that the two roots imply the
-sum's canonical parity BDD w directly.
+A recovered XOR's canonical parity BDD is proved straight from the XOR's
+encoding clauses, one lemma per prefix of its variables, without building
+a BDD per clause or any conjunction.  Conjunction and implication share
+one walk over (u, v, w) node triples and one lemma cache: a conjunction
+builds w from the walk, an implication is handed w.  Summing two parity
+constraints is an implication, so it never builds their conjunction: one
+pass proves that the two roots imply the sum's canonical parity BDD w
+directly.
 """
 
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass, field
 
 from .bdd import _LEVEL_TERM, T0, T1, TRUE_SENTINEL, Bdd
@@ -37,6 +41,10 @@ GC_GROWTH_DIV = 4
 class ProofEngineError(Exception):
     """A lemma failed to close under its own hints: a solver bug, not an
     input problem.  The proof stream is abandoned."""
+
+
+class DeadlineExceeded(Exception):
+    """The solve's deadline passed; every step written so far is whole."""
 
 
 def _clean(lits):
@@ -71,9 +79,12 @@ class Tbdd:
 
 
 class TbddEngine:
-    def __init__(self, order, writer, num_input_vars: int):
+    def __init__(self, order, writer, num_input_vars: int, deadline: float | None = None):
+        """deadline: `time.monotonic()` value after which `greedy_sum`
+        raises DeadlineExceeded before its next sum; None for no limit."""
         self.writer = writer
         self.num_input_vars = num_input_vars
+        self.deadline = deadline
         # node -> its (id, clause) defining steps by slot HD, LD, HU, LU;
         # None where the clause is a tautology
         self.defs: dict[int, tuple] = {}
@@ -203,6 +214,48 @@ class TbddEngine:
         uid = self._emit_rup((rest,), cands)
         b.ref(rest)
         return Tbdd(rest, uid)
+
+    def tbdd_from_xor(self, con: ParityConstraint, clauses) -> Tbdd:
+        """Trusted canonical parity BDD of `con`, proved from its encoding
+        `clauses`, given as (proof id, literals) pairs.
+
+        For each prefix s of con's variables in BDD order, the lemma
+        [-s, n] says that s implies the node n it reaches.  Above the
+        bottom level, with n = ite(x, h, l), it takes two steps: [-s, -x, n]
+        from n's HU clause and the lemma of s+x, then [-s, n] from that
+        step, n's LU clause and the lemma of s-x.  A bottom lemma is never
+        emitted, only inlined as hints: a false bottom node fixes its
+        variable the wrong way, and the input clause blocking that full
+        assignment conflicts.  The empty prefix's lemma is the root unit:
+        2^k - 2 steps for arity k >= 2, one for k == 1.  All other lemmas
+        are deleted.  Clauses that do not encode `con` raise
+        ProofEngineError."""
+        assert con.vars, "an empty constraint has no encoding"
+        b = self.bdd
+        blocking = {frozenset(cl): (cid, tuple(cl)) for cid, cl in clauses}
+
+        def lemma(s, n):
+            # hint candidates for [-s, n]: the refutation of s AND NOT n at
+            # the bottom level and for the root, else the lemma's own step
+            x, h, l = b.var(n), b.hi(n), b.lo(n)
+            if b.is_terminal(h):
+                # NOT n sets x against the parity; the clause blocking the
+                # full assignment then conflicts
+                key = frozenset([-lit for lit in s] + [x if h == T1 else -x])
+                return [self._def_cand(n, HU), self._def_cand(n, LU), blocking.get(key)]
+            neg = tuple(-lit for lit in s)
+            hi_clause = neg + (-x, n)
+            step_h = self._emit_rup(hi_clause, [self._def_cand(n, HU), *lemma(s + (x,), h)])
+            self.pending_deletes.append(step_h)
+            cands = [(step_h, hi_clause), self._def_cand(n, LU), *lemma(s + (-x,), l)]
+            if not s:
+                return cands
+            lid = self._emit_rup(neg + (n,), cands)
+            self.pending_deletes.append(lid)
+            return [(lid, neg + (n,))]
+
+        root = b.parity_bdd(con.vars, con.phase)
+        return self._assert_root(root, lemma((), root), con)
 
     # -- conjunction and implication -----------------------------------------
 
@@ -374,7 +427,7 @@ class TbddEngine:
         Positions follow the input list, then creation order of intermediate
         sums.  Only overlapping pairs enter the heap, found through a
         variable -> live positions index, and stale pairs are dropped as
-        they reach the top."""
+        they reach the top.  Each sum first checks the deadline."""
         assert tbdds
         items: dict[int, Tbdd] = dict(enumerate(tbdds))
         sup = {i: frozenset(t.constraint.vars) for i, t in items.items()}
@@ -391,6 +444,8 @@ class TbddEngine:
         heapq.heapify(heap)
         next_pos = len(tbdds)
         while len(items) > 1:
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise DeadlineExceeded("deadline passed during a parity sum")
             while heap and (heap[0][1] not in items or heap[0][2] not in items):
                 heapq.heappop(heap)
             if heap:

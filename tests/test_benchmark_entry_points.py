@@ -2,11 +2,20 @@
 points by module and name.  This runs that pass on two small instances, so
 a change that renames or removes a wrapped entry point, or that passes
 keywords to a hot wrapper (positional arguments only), fails here rather
-than in a benchmark run."""
+than in a benchmark run.
+
+A solve proves each recovered XOR's BDD straight from its encoding clauses
+and no longer reaches `tbdd_from_clause`, `tbdd_and` or `tbdd_upgrade`.
+With the tracer installed, the test also builds one XOR's BDD through those
+three, the conjunction path that tests/test_tbdd.py keeps as its oracle, so
+their wrappers are still seen to install and record."""
 
 import os
 
 from xorcert import lrat
+from xorcert.formula import ParityConstraint
+
+from test_tbdd import constraint_tbdd, xor_bench
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -37,6 +46,10 @@ def test_traced_pass_solves_and_checks(tmp_path, monkeypatch):
             workloads.write_instances([inst], str(tmp_path))
             proof = str(tmp_path / (inst.name + ".lrat"))
             runs.append(layers.traced_instance(inst, True, harness.Limits(), proof))
+        p = ParityConstraint((1, 2, 3), 1)
+        bench = xor_bench(p, 3)
+        constraint_tbdd(bench, p, 1)
+        bench.verify()
     finally:
         tracer.restore()
     assert lrat.ProofWriter.add is add

@@ -5,10 +5,13 @@ output are asserted directly, with files routed through tmp_path.
 """
 
 import json
+import time
 
 import pytest
 
 from xorcert import cli
+from xorcert.formula import parse_dimacs
+from xorcert.lrat import check, parse_proof
 from xorcert.bdd import BddCapacityError
 from xorcert.tbdd import ProofEngineError
 
@@ -75,6 +78,22 @@ class TestSolveExitCodes:
         rc = cli.main(["solve", str(tmp_path / "u.cnf"), "--no-xor", "--timeout", "0.05"])
         assert rc == 30
         assert "s UNKNOWN" in capsys.readouterr().out
+
+    def test_timeout_bounds_parity_preparation(self, tmp_path, capsys):
+        # urq m=12 spends its whole refutation in XOR builds and parity sums
+        # before any search; it took 6.7 s and answered UNSAT when only the
+        # search loop looked at the deadline
+        cnf = str(tmp_path / "u12.cnf")
+        proof = tmp_path / "u12.lrat"
+        assert cli.main(["gen", "urquhart", "-m", "12", "--seed", "13", "-o", cnf]) == 0
+        t0 = time.monotonic()
+        rc = cli.main(["solve", cnf, "--timeout", "1", "--proof", str(proof)])
+        dt = time.monotonic() - t0
+        assert rc == 30 and "s UNKNOWN" in capsys.readouterr().out
+        assert dt < 5.0
+        with open(cnf) as fh:
+            f = parse_dimacs(fh.read())
+        assert check(f, parse_proof(proof.read_text()), refutation=False).ok
 
     def test_missing_file_is_1(self, tmp_path, capsys):
         for command in CNF_COMMANDS:
@@ -151,6 +170,23 @@ class TestBadOptionValues:
     def test_range_with_bad_ends(self, capsys):
         err = self.one_error(capsys, ["bench", "lpn", "--n-range", "x:y"])
         assert "'x:y'" in err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_solve_timeout_not_positive_finite(self, tmp_path, capsys, value):
+        cnf = write(tmp_path / "a.cnf", "p cnf 2 2\n1 2 0\n-1 0\n")
+        err = self.one_error(capsys, ["solve", cnf, "--timeout", value])
+        assert "--timeout" in err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bench_timeout_not_positive_finite(self, capsys, value):
+        err = self.one_error(capsys, ["bench", "urq", "--m-range", "3:3", "--timeout", value])
+        assert "--timeout" in err
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_max_proof_clauses_below_one(self, tmp_path, capsys, value):
+        cnf = write(tmp_path / "a.cnf", "p cnf 2 2\n1 2 0\n-1 0\n")
+        err = self.one_error(capsys, ["solve", cnf, "--max-proof-clauses", value])
+        assert "--max-proof-clauses" in err
 
     def test_non_integer_seed_env(self, capsys, monkeypatch):
         monkeypatch.setenv("XORCERT_SEED", "abc")

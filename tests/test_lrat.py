@@ -389,7 +389,9 @@ def reference_check(f: CnfFormula, steps, refutation: bool = True):
             if pv <= nvars:
                 return Rejected(sid, f"pivot not fresh: variable {pv} is an input variable")
             rest = set(lits[1:])
-            for cid in occ.get(pv, ()):
+            # lowest id first, as `check` reports it; set order would name an
+            # arbitrary one of several clash partners
+            for cid in sorted(occ.get(pv, ())):
                 d = live[cid]
                 if -pivot not in d:
                     continue
@@ -537,6 +539,14 @@ class TestCompactChecker:
         r = self.same(f, *head, (5, (3, 1), ()))
         assert isinstance(r, Rejected) and "resolvent with 4" in r.reason
         assert self.same(f, *head, (5, (3, -2), ())).ok
+
+    def test_lowest_clash_partner_is_named(self):
+        f = CnfFormula(2, [(1, 2)])
+        partners = ((2, (-3, 1), ()), (3, (-3, 2), ()))
+        r = self.same(f, *partners, (4, (3,), ()))
+        assert isinstance(r, Rejected) and r.reason.endswith("resolvent with 2")
+        r = self.same(f, *partners, (4, (3, -1), ()))
+        assert isinstance(r, Rejected) and r.reason.endswith("resolvent with 3")
 
     def test_huge_sparse_step_ids(self):
         r = self.same(PHI, (10**15, (1,), (1, 2)), (10**18, (), (10**15, 3, 4)),

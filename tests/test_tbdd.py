@@ -2,15 +2,16 @@ import heapq
 import io
 import itertools
 import random
+import time
 import types
 
 import pytest
 
 from xorcert.bdd import T0, T1
 from xorcert.formula import CnfFormula, ParityConstraint, xor_encoding_clauses
-from xorcert.lrat import ProofWriter, Verified, check, parse_proof
+from xorcert.lrat import AddStep, DeleteStep, ProofWriter, Verified, check, parse_proof
 from xorcert import tbdd as tbdd_module
-from xorcert.tbdd import ProofEngineError, Tbdd, TbddEngine
+from xorcert.tbdd import DeadlineExceeded, ProofEngineError, Tbdd, TbddEngine
 
 from test_bdd import evaluate, plain_and
 
@@ -297,6 +298,60 @@ def xor_system_bench(ps, nv, order=None):
     return bench, ts
 
 
+def xor_bench(p: ParityConstraint, nv: int, order=None, clauses=None) -> Bench:
+    """A bench whose formula is p's encoding (or `clauses`), ids from 1."""
+    return Bench(CnfFormula(nv, clauses or xor_encoding_clauses(p)), order)
+
+
+def from_xor(bench, p: ParityConstraint) -> Tbdd:
+    return bench.engine.tbdd_from_xor(p, enumerate(bench.f.clauses, start=1))
+
+
+class TestFromXor:
+    def test_root_is_the_conjunction_paths(self):
+        rng = random.Random(31)
+        for k in range(1, 7):
+            for phase in (0, 1):
+                for _ in range(3):
+                    nv = k + 2
+                    p = ParityConstraint(tuple(sorted(rng.sample(range(1, nv + 1), k))), phase)
+                    bench = xor_bench(p, nv, rng.sample(range(1, nv + 1), nv))
+                    t = from_xor(bench, p)
+                    assert t.constraint == p
+                    assert t.root == bench.engine.bdd.parity_bdd(p.vars, p.phase)
+                    bench.verify()
+                    assert constraint_tbdd(bench, p, 1).root == t.root
+
+    def test_steps_and_live_clauses(self):
+        # at most 2^k - 1 RUP steps; afterwards only node definitions and
+        # the root unit are live
+        rng = random.Random(37)
+        for k in range(1, 7):
+            p = ParityConstraint(tuple(range(1, k + 1)), rng.randint(0, 1))
+            bench = xor_bench(p, k, rng.sample(range(1, k + 1), k))
+            t = from_xor(bench, p)
+            steps = parse_proof(bench.buf.getvalue())
+            adds = [s for s in steps if isinstance(s, AddStep)]
+            assert len([s for s in adds if s.hints]) <= 2 ** k - 1
+            deleted = {i for s in steps if isinstance(s, DeleteStep) for i in s.ids}
+            live = {s.id for s in adds} - deleted
+            defs = {c[0] for entry in bench.engine.defs.values() for c in entry if c}
+            assert live == defs | {t.unit_id}
+
+    def test_wrong_sign_clause_raises(self):
+        # flipping the first literal of one encoding clause makes it block
+        # an assignment that satisfies the constraint instead
+        rng = random.Random(41)
+        for k in range(1, 5):
+            p = ParityConstraint(tuple(range(1, k + 1)), rng.randint(0, 1))
+            cls = xor_encoding_clauses(p)
+            for i, cl in enumerate(cls):
+                bad = cls[:i] + [(-cl[0],) + cl[1:]] + cls[i + 1:]
+                bench = xor_bench(p, k, rng.sample(range(1, k + 1), k), bad)
+                with pytest.raises(ProofEngineError):
+                    from_xor(bench, p)
+
+
 class TestXorSum:
     def test_two_constraint_sum(self):
         ps = [ParityConstraint((1, 2), 1), ParityConstraint((2, 3), 0)]
@@ -392,6 +447,16 @@ class TestGreedySum:
                 bench.verify()
             else:
                 bench.verify(refutation=True)
+
+    def test_past_deadline_stops_before_a_sum(self):
+        ps = [ParityConstraint((1, 2), 1), ParityConstraint((2, 3), 0), ParityConstraint((3, 4), 1)]
+        bench, ts = xor_system_bench(ps, 4)
+        adds = bench.writer.adds
+        bench.engine.deadline = time.monotonic() - 1.0
+        with pytest.raises(DeadlineExceeded):
+            bench.engine.greedy_sum(ts)
+        assert bench.writer.adds == adds
+        bench.verify()
 
     def test_deterministic_bytes(self):
         ps = [
