@@ -28,11 +28,13 @@ BENCH_TIMEOUT = 10.0
 # Internal failures of a solve: reported as status ERROR with the exception
 # class as stop_reason, a one-line diagnostic and exit 1, never a traceback.
 ERROR = "ERROR"
-ENGINE_ERRORS = (RecursionError, ProofEngineError, BddCapacityError)
+ENGINE_ERRORS = (RecursionError, ProofEngineError, BddCapacityError, AssertionError)
 
 
 class _InputError(Exception):
-    """Unusable input: `main` prints `error: <message>` and exits 1."""
+    """Unusable input: `main` prints `error: <message>` and exits 1, as it
+    does for a malformed or undecodable DIMACS file and for an OSError such
+    as an unreadable input or an unwritable output path."""
 
 
 def _env_seed() -> int:
@@ -49,11 +51,8 @@ def _check_timeout(timeout):
 
 
 def _read_cnf(path: str):
-    try:
-        with open(path) as fh:
-            return parse_dimacs(fh.read())
-    except (OSError, DimacsError) as e:
-        raise _InputError(e) from None
+    with open(path) as fh:
+        return parse_dimacs(fh.read())
 
 
 def _read_xors(args):
@@ -127,31 +126,27 @@ def cmd_solve(args) -> int:
         try:
             var_order = checked_order(_read_var_order(args.var_order), f.num_vars)
         except (OSError, ValueError) as e:
-            print(f"error: bad variable order file: {e}", file=sys.stderr)
-            return 1
-    try:
-        proof = open(args.proof, "w") if args.proof else contextlib.nullcontext()
-    except OSError as e:
-        print(f"error: cannot write proof: {e}", file=sys.stderr)
-        return 1
-    with proof as sink:
-        s = Solver(
-            f,
-            use_xor=not args.no_xor,
-            proof_sink=sink,
-            max_proof_clauses=args.max_proof_clauses,
-            var_order=var_order,
-            timeout=args.timeout,
-        )
+            raise _InputError(f"bad variable order file: {e}") from None
+    # both outputs are opened before any work, so a bad path costs no solve
+    with contextlib.ExitStack() as stack:
+        report = stack.enter_context(open(args.report, "a")) if args.report else None
         try:
-            res = _run_solver(s)
-        except AssertionError as e:
-            print(f"error: internal invariant violated: {e}", file=sys.stderr)
-            return 1
-    if args.report:
-        rep = run_report(args.cnf, res, args.timeout, "no-xor" if args.no_xor else "xor")
-        with open(args.report, "a") as fh:
-            fh.write(json.dumps(rep) + "\n")
+            sink = stack.enter_context(open(args.proof, "w")) if args.proof else None
+        except OSError as e:
+            raise _InputError(f"cannot write proof: {e}") from None
+        res = _run_solver(
+            Solver(
+                f,
+                use_xor=not args.no_xor,
+                proof_sink=sink,
+                max_proof_clauses=args.max_proof_clauses,
+                var_order=var_order,
+                timeout=args.timeout,
+            )
+        )
+        if report is not None:
+            rep = run_report(args.cnf, res, args.timeout, "no-xor" if args.no_xor else "xor")
+            report.write(json.dumps(rep) + "\n")
     if res.status == ERROR:
         return 1
     print(
@@ -177,9 +172,8 @@ def cmd_check(args) -> int:
     try:
         with open(args.proof, "rb") as fh:
             res = check(f, iter_proof(map(bytes.decode, fh)), refutation=not args.derivation)
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    except ValueError as e:
+        raise _InputError(e) from None
     if res.ok:
         print(
             f"Verified: {res.steps} steps "
@@ -212,8 +206,7 @@ def cmd_gen(args) -> int:
                 )
             )
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        raise _InputError(e) from None
     _out(args.output, write_dimacs(inst.formula))
     if args.manifest:
         _out(args.manifest, "\n".join(inst.manifest_lines()) + "\n")
@@ -304,13 +297,18 @@ def cmd_bench(args) -> int:
     if not tasks:
         print("no instances")
         return 0
-    if args.jobs > 1:
-        from multiprocessing import Pool
+    # opened before any work, so a bad path costs no run
+    with (open(args.report, "a") if args.report else contextlib.nullcontext()) as report:
+        if args.jobs > 1:
+            from multiprocessing import Pool
 
-        with Pool(args.jobs) as pool:
-            reports = pool.map(_bench_task, tasks)
-    else:
-        reports = [_bench_task(t) for t in tasks]
+            with Pool(args.jobs) as pool:
+                reports = pool.map(_bench_task, tasks)
+        else:
+            reports = [_bench_task(t) for t in tasks]
+        if report is not None:
+            for rep in reports:
+                report.write(json.dumps(rep) + "\n")
     widths = (26, 7, 6)
     print(f"{'instance':<{widths[0]}} {'mode':<{widths[1]}} {'status':<{widths[2]}} "
           f"{'time':>8} {'steps':>9} {'verified':>8}")
@@ -325,10 +323,6 @@ def cmd_bench(args) -> int:
         vals = [r["par2"] for r in reports if r["mode"] == mode and r["par2"] is not None]
         if vals:
             print(f"PAR-2[{mode}] = {sum(vals) / len(vals):.3f} over {len(vals)} runs")
-    if args.report:
-        with open(args.report, "a") as fh:
-            for rep in reports:
-                fh.write(json.dumps(rep) + "\n")
     if any(r["verified"] is False for r in reports):
         return 2
     return 1 if any(r["status"] == ERROR for r in reports) else 0
@@ -340,8 +334,7 @@ def cmd_bench(args) -> int:
 def cmd_bdd_dump(args) -> int:
     f, cons = _read_xors(args)
     if not 0 <= args.index < len(cons):
-        print(f"error: constraint index out of range (0..{len(cons) - 1})", file=sys.stderr)
-        return 1
+        raise _InputError(f"constraint index out of range (0..{len(cons) - 1})")
     con = cons[args.index]
     b = Bdd(list(range(1, f.num_vars + 1)))
     root = b.parity_bdd(con.vars, con.phase)
@@ -446,7 +439,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _InputError as e:
+    except (_InputError, OSError, DimacsError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

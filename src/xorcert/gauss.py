@@ -8,10 +8,13 @@ proof layer rebuild any derived row from trusted inputs.  A column index,
 the transpose of the matrix kept as one bit set of rows per column, lets
 pivot search and elimination visit only the rows that hold a column.
 
+The assignment is kept in the same packed form, as two column bit sets:
+the assigned columns and the True ones.  A row's free columns are then
+`row & ~assigned` and its parity `phase ^ popcount(row & true)`.
 Propagation is incremental: each live row watches two unassigned columns,
-so only rows watching a newly assigned variable are examined.  A full-scan
-`propagate` over an explicit assignment is kept alongside as the slow
-reference path.
+listed per column, so only rows watching a newly assigned column are
+examined.  A full-scan `propagate` over an explicit assignment, which reads
+no engine state, is kept alongside as the slow reference path.
 """
 
 from __future__ import annotations
@@ -73,9 +76,11 @@ class ParityEngine:
             for c in _bits(m):
                 self.col_rows[c] |= 1 << i
         self.pivot_of_row: dict[int, int] = {}
-        # propagation state
-        self.value: dict[int, bool] = {}
-        self.watches: dict[int, set[int]] = {}   # var -> rows watching it
+        # propagation state: bit sets of the assigned and of the True
+        # columns, the rows watching each column, each row's two watches
+        self.assigned = 0
+        self.true = 0
+        self.watching: list[list[int]] = [[] for _ in column_vars]
         self.row_watch: list[tuple[int, int] | None] = [None] * len(self.rows)
 
     # -- row algebra ---------------------------------------------------------
@@ -111,14 +116,17 @@ class ParityEngine:
         assert self.rows[pivot_row] >> col & 1, "pivot row lacks the pivot column"
         self._add_row_into_set(pivot_row, self.col_rows[col] & ~(1 << pivot_row))
 
-    def full_reduce(self):
+    def full_reduce(self, check_time=None):
         """Reduced row echelon form; pivots taken column-by-column in the
-        fixed order, first eligible row wins."""
+        fixed order, first eligible row wins.  `check_time`, if given, is
+        called before each pivot column and may raise to stop the run."""
         pivot_rows = 0
         for col in range(len(self.col_rows)):
             eligible = self.col_rows[col] & ~pivot_rows
             if not eligible:
                 continue
+            if check_time is not None:
+                check_time()
             pr = (eligible & -eligible).bit_length() - 1
             pivot_rows |= 1 << pr
             self.pivot_of_row[pr] = col
@@ -126,109 +134,95 @@ class ParityEngine:
 
     # -- assignment bookkeeping ---------------------------------------------
 
-    def _row_record(self, r: int, implied_col: int | None) -> ReasonRecord:
-        lits = []
-        implied_first = []
-        acc = self.phases[r]
-        for c in _bits(self.rows[r]):
-            v = self.var_of_col[c]
-            if c == implied_col:
-                continue
-            val = self.value[v]
-            acc ^= 1 if val else 0
-            lits.append(-v if val else v)
-        if implied_col is None:
-            kind = CONFLICT
-        else:
+    def _row_record(self, r: int, implied_col: int | None, true: int) -> ReasonRecord:
+        """Row r's reason when every column but `implied_col` is assigned,
+        the True ones being the columns in bit set `true`."""
+        m = self.rows[r]
+        var_of_col = self.var_of_col
+        lits = [-var_of_col[c] if true >> c & 1 else var_of_col[c]
+                for c in _bits(m) if c != implied_col]
+        kind = CONFLICT
+        if implied_col is not None:
             kind = PROPAGATION
-            v = self.var_of_col[implied_col]
-            implied_first = [v if acc else -v]
-        return ReasonRecord(tuple(implied_first + lits), self.origin_of(r), kind, r)
+            v = var_of_col[implied_col]
+            lits.insert(0, v if (self.phases[r] ^ (m & true).bit_count()) & 1 else -v)
+        return ReasonRecord(tuple(lits), self.origin_of(r), kind, r)
 
     def start_watches(self) -> list[ReasonRecord]:
         """Install watches on every live row; returns the records already
         forced with nothing assigned (empty and unit rows)."""
         out = []
         for r, m in enumerate(self.rows):
-            width = m.bit_count()
-            if width == 0:
+            if not m:
                 if self.phases[r]:
                     out.append(ReasonRecord((), self.origin_of(r), CONFLICT, r))
                 continue
-            cols = []
-            for c in _bits(m):
-                cols.append(c)
-                if len(cols) == 2:
-                    break
-            if width == 1:
-                out.append(self._row_record(r, cols[0]))
+            rest = m & (m - 1)
+            a = (m ^ rest).bit_length() - 1
+            if not rest:
+                out.append(self._row_record(r, a, self.true))
                 continue
-            self.row_watch[r] = (cols[0], cols[1])
-            for c in cols:
-                self.watches.setdefault(self.var_of_col[c], set()).add(r)
+            b = (rest & -rest).bit_length() - 1
+            self.row_watch[r] = (a, b)
+            self.watching[a].append(r)
+            self.watching[b].append(r)
         return out
 
     def on_assign(self, var: int, val: bool) -> list[ReasonRecord]:
-        self.value[var] = val
+        c_hit = self.col_of.get(var)
+        if c_hit is None:
+            return []
+        self.assigned |= 1 << c_hit
+        if val:
+            self.true |= 1 << c_hit
+        assigned, true = self.assigned, self.true
+        rows, row_watch, watching = self.rows, self.row_watch, self.watching
         out = []
-        if var not in self.watches:
-            return out
-        for r in list(self.watches[var]):
-            w = self.row_watch[r]
-            c_hit = self.col_of[var]
-            other = w[1] if w[0] == c_hit else w[0]
-            repl = None
-            for c in _bits(self.rows[r]):
-                if c != other and self.var_of_col[c] not in self.value:
-                    repl = c
-                    break
-            if repl is not None:
-                self.watches[var].discard(r)
-                self.watches.setdefault(self.var_of_col[repl], set()).add(r)
-                self.row_watch[r] = (other, repl)
+        kept = []
+        for r in watching[c_hit]:
+            a, b = row_watch[r]
+            other = b if a == c_hit else a
+            free = rows[r] & ~assigned & ~(1 << other)
+            if free:
+                repl = (free & -free).bit_length() - 1
+                watching[repl].append(r)
+                row_watch[r] = (other, repl)
                 continue
-            other_var = self.var_of_col[other]
-            if other_var not in self.value:
-                out.append(self._row_record(r, other))
-            else:
-                acc = self.phases[r]
-                for c in _bits(self.rows[r]):
-                    acc ^= 1 if self.value[self.var_of_col[c]] else 0
-                if acc:
-                    out.append(self._row_record(r, None))
+            kept.append(r)
+            if not assigned >> other & 1:
+                out.append(self._row_record(r, other, true))
+            elif (self.phases[r] ^ (rows[r] & true).bit_count()) & 1:
+                out.append(self._row_record(r, None, true))
+        watching[c_hit] = kept
         return out
 
     def on_unassign(self, var: int):
-        self.value.pop(var, None)
+        c = self.col_of.get(var)
+        if c is not None:
+            self.assigned &= ~(1 << c)
+            self.true &= ~(1 << c)
 
     # -- reference path ------------------------------------------------------
 
     def propagate(self, assignment: dict[int, bool]) -> list[ReasonRecord]:
-        """Full scan under an explicit assignment; conflicts and unit rows
-        reported in row order.  Reference implementation for the watch path."""
-        saved = self.value
-        self.value = dict(assignment)
+        """Full scan under an explicit assignment, which alone it reads;
+        conflicts and unit rows reported in row order.  Reference
+        implementation for the watch path."""
+        assigned = true = 0
+        for v, val in assignment.items():
+            c = self.col_of.get(v)
+            if c is not None:
+                assigned |= 1 << c
+                if val:
+                    true |= 1 << c
         out = []
-        try:
-            for r, m in enumerate(self.rows):
-                free = None
-                nfree = 0
-                acc = self.phases[r]
-                for c in _bits(m):
-                    v = self.var_of_col[c]
-                    if v in self.value:
-                        acc ^= 1 if self.value[v] else 0
-                    else:
-                        nfree += 1
-                        free = c
-                        if nfree > 1:
-                            break
-                if nfree == 0 and acc:
-                    out.append(self._row_record(r, None))
-                elif nfree == 1:
-                    out.append(self._row_record(r, free))
-        finally:
-            self.value = saved
+        for r, m in enumerate(self.rows):
+            free = m & ~assigned
+            if not free:
+                if (self.phases[r] ^ (m & true).bit_count()) & 1:
+                    out.append(self._row_record(r, None, true))
+            elif not free & (free - 1):
+                out.append(self._row_record(r, free.bit_length() - 1, true))
         return out
 
     # -- debugging -----------------------------------------------------------

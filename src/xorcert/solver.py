@@ -240,7 +240,7 @@ class Solver:
         if self.writer is not None:
             self.tb = TbddEngine(self.order, self.writer, self.f.num_vars, self.deadline)
             self.xor_tbdds = [self._build_xor_tbdd(c) for c in self.xors]
-        self.par.full_reduce()
+        self.par.full_reduce(self._check_time)
 
     def _justify(self, rec):
         """Proof id of a step deriving rec.clause (None without a proof).

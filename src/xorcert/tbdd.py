@@ -119,16 +119,14 @@ class TbddEngine:
             for cand in self.defs.pop(ref):
                 if cand is not None:
                     self.pending_deletes.append(cand[0])
-        fs = set(freed)
-        for key in [k for k in self.and_imply_cache
-                    if k[0] in fs or k[1] in fs or k[2] in fs]:
-            jid = self.and_imply_cache.pop(key)
-            if jid:
-                self.pending_deletes.append(jid)
 
     def collect(self):
-        """Reclaim unreferenced nodes and flush the delete backlog."""
+        """Reclaim unreferenced nodes, empty the lemma cache, deleting its
+        lemmas (a later walk proves again what it needs), and flush the
+        delete backlog."""
         self.bdd.garbage_collect()
+        self.pending_deletes.extend(self.and_imply_cache.values())
+        self.and_imply_cache.clear()
         self.flush_deletes()
         self.gc_live = self.bdd.num_nodes()
         self.gc_collections += 1

@@ -108,6 +108,16 @@ class TestSolveExitCodes:
             assert rc == 1, command
             assert "error: line 2:" in capsys.readouterr().err, command
 
+    def test_undecodable_dimacs_is_1(self, tmp_path, capsys):
+        cnf = tmp_path / "bad.cnf"
+        cnf.write_bytes(b"p cnf 1 1\n\xff 0\n")
+        for command in CNF_COMMANDS:
+            rc = cli.main(cnf_argv(command, str(cnf), tmp_path))
+            assert rc == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: 'utf-8' codec can't decode"), command
+            assert len(err.splitlines()) == 1, command
+
 
 class TestPipelines:
     def test_urquhart_gen_solve_check(self, tmp_path, capsys):
@@ -224,10 +234,42 @@ class TestSolveInputErrors:
         assert not proof.parent.exists()
 
 
+# argv writing one output to the unwritable path `bad`; inputs and any
+# other output go under `tmp`
+UNWRITABLE_OUTPUTS = {
+    "gen-output": lambda tmp, bad: ["gen", "urquhart", "-m", "3", "-o", bad],
+    "gen-manifest": lambda tmp, bad: ["gen", "urquhart", "-m", "3", "-o", str(tmp / "u.cnf"),
+                                      "--manifest", bad],
+    "gen-var-order-out": lambda tmp, bad: ["gen", "lpn", "-n", "6", "-o", str(tmp / "l.cnf"),
+                                           "--var-order-out", bad],
+    "bdd-dump-output": lambda tmp, bad: ["bdd-dump", write(tmp / "x.cnf", THREE_XOR_CNF),
+                                         "-o", bad],
+    "gj-trace-output": lambda tmp, bad: ["gj-trace", write(tmp / "x.cnf", THREE_XOR_CNF),
+                                         "-o", bad],
+    "solve-report": lambda tmp, bad: ["solve", write(tmp / "x.cnf", THREE_XOR_CNF),
+                                      "--report", bad],
+    "bench-report": lambda tmp, bad: ["bench", "urq", "--m-range", "3:3", "--seed", "5",
+                                      "--report", bad],
+}
+
+
+class TestUnwritableOutputs:
+    @pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+    def test_one_error_line(self, tmp_path, capsys, case):
+        bad = tmp_path / "missing" / "out"
+        assert cli.main(UNWRITABLE_OUTPUTS[case](tmp_path, str(bad))) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and str(bad) in err
+        assert len(err.splitlines()) == 1
+        # solve and bench open their report before any work
+        assert out == ""
+
+
 ENGINE_FAILURES = [
     RecursionError("maximum recursion depth exceeded"),
     ProofEngineError("implication failure: 7 -> 9"),
     BddCapacityError("node id space exhausted"),
+    AssertionError("model misses clause 1"),
 ]
 
 

@@ -206,6 +206,14 @@ class TestFullScanPropagate:
         eng = ParityEngine(cons)
         if rng.random() < 0.5:
             eng.full_reduce()
+        # the engine holds an assignment of its own, which the scan must
+        # neither read nor change
+        eng.start_watches()
+        for v in rng.sample(range(1, nvars + 1), rng.randint(0, nvars)):
+            eng.on_assign(v, rng.random() < 0.5)
+        state = lambda: (eng.assigned, eng.true, [list(w) for w in eng.watching],
+                         list(eng.row_watch))
+        before = state()
         asg = {
             v: rng.random() < 0.5
             for v in range(1, nvars + 1)
@@ -214,7 +222,7 @@ class TestFullScanPropagate:
         for rec in eng.propagate(asg):
             check_record_shape(eng, rec, asg)
             assert implied_by(cons, rec.clause, nvars)
-        assert eng.value == {}, "full scan must not leak assignment state"
+        assert state() == before, "full scan must not touch propagation state"
 
     def test_conflict_and_unit_reporting(self):
         cons = [ParityConstraint((1, 2), 1), ParityConstraint((1, 2), 0)]
@@ -290,12 +298,13 @@ def run_scan(cons, order, decisions):
 
 
 class TestWatchedPath:
+    # 70 columns make the column bit sets span two machine words
     @settings(max_examples=120, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_matches_full_scan_fixpoint(self, seed):
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(7, 7), (70, 40)]))
+    def test_matches_full_scan_fixpoint(self, seed, size):
         rng = random.Random(seed)
-        nvars = 7
-        cons = small_system(rng, nvars=nvars, nrows=7, allow_empty=True)
+        nvars, nrows = size
+        cons = small_system(rng, nvars=nvars, nrows=nrows, allow_empty=True)
         order = list(range(1, nvars + 1))
         rng.shuffle(order)
         decisions = [
@@ -321,20 +330,24 @@ class TestWatchedPath:
             return
         forced = {abs(r.clause[0]): r.clause[0] > 0 for r in init}
         trail = []
+        asg = {}
 
         def push(v, val):
             trail.append(v)
+            asg[v] = val
             return eng.on_assign(v, val)
 
         for v, val in forced.items():
             if any(r.kind == CONFLICT for r in push(v, val)):
                 return
         for _ in range(30):
-            free = [v for v in range(1, nvars + 1) if v not in eng.value]
+            free = [v for v in range(1, nvars + 1) if v not in asg]
             if trail and (not free or rng.random() < 0.35):
                 cut = rng.randrange(len(trail))
                 while len(trail) > cut:
-                    eng.on_unassign(trail.pop())
+                    v = trail.pop()
+                    del asg[v]
+                    eng.on_unassign(v)
                 continue
             if not free:
                 break
@@ -342,7 +355,7 @@ class TestWatchedPath:
             val = rng.random() < 0.5
             recs = push(v, val)
             # whatever the watches report must agree with a full scan
-            scan = eng.propagate(dict(eng.value))
+            scan = eng.propagate(asg)
             scan_conf = any(r.kind == CONFLICT for r in scan)
             watch_conf = any(r.kind == CONFLICT for r in recs)
             if watch_conf:

@@ -6,7 +6,7 @@ from io import StringIO
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xorcert import solver, tbdd
+from xorcert import gauss, solver, tbdd
 from xorcert.benchgen import LpnConfig, UrqConfig, gen_lpn, gen_urquhart
 from xorcert.formula import CnfFormula, ParityConstraint, xor_encoding_clauses
 from xorcert.gauss import ReasonRecord
@@ -288,6 +288,27 @@ class TestLimits:
         r = Solver(f, timeout=0.0).solve()
         assert r.status == LIMIT
         assert r.stop_reason == "timeout"
+
+    def test_timeout_stops_full_reduce(self, monkeypatch):
+        # four independent rows, so the reduction takes four pivot columns;
+        # a fake clock passes the deadline during the first elimination
+        clauses = []
+        for vs, ph in [((1, 2), 1), ((2, 3), 1), ((1, 3, 4), 0), ((3, 4), 1)]:
+            clauses += xor_encoding_clauses(ParityConstraint(vs, ph))
+        now = [0.0]
+        monkeypatch.setattr(solver.time, "monotonic", lambda: now[0])
+        eliminate = gauss.ParityEngine.eliminate_column
+        pivots = []
+
+        def expire(self, pivot_row, col):
+            eliminate(self, pivot_row, col)
+            pivots.append(col)
+            now[0] = 10.0
+
+        monkeypatch.setattr(gauss.ParityEngine, "eliminate_column", expire)
+        r = Solver(CnfFormula(4, clauses), timeout=1.0).solve()
+        assert (r.status, r.stop_reason) == (LIMIT, "timeout")
+        assert pivots == [0]
 
     def test_proof_budget_yields_limit_and_wellformed_prefix(self):
         clauses = []
