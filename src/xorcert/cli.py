@@ -97,6 +97,7 @@ def run_report(name: str, res, timeout, mode: str) -> dict:
         "ext_vars": res.ext_vars,
         "peak_bdd_nodes": res.peak_bdd_nodes,
         "gc_collections": res.gc_collections,
+        "justifications": res.justifications,
         "stop_reason": res.stop_reason,
         "par2": par2,
     }

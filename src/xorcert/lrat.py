@@ -123,7 +123,8 @@ class ProofWriter:
         self.empty_emitted = False
 
     def add(self, lits, hints) -> int:
-        assert not self.empty_emitted, "no steps may follow the empty clause"
+        if self.empty_emitted:  # raised, not asserted: `python -O` keeps it
+            raise AssertionError("no steps may follow the empty clause")
         if self.adds + 1 > self.max_clauses:
             raise ProofLimitExceeded(f"proof clause budget {self.max_clauses} exhausted")
         self.last_id += 1

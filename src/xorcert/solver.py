@@ -9,11 +9,15 @@ fixpoint; the two propagators alternate until neither adds anything.
 Proof discipline: every learned clause is emitted as a hinted RUP step
 whose hints are the reasons of the literals resolved away, in trail order,
 with the conflict clause last.  Reasons reported by the parity engine are
-justified the moment they are generated: the engine's shadow matrix names
-the initial constraints summing to the row, those constraints' trusted
-BDDs are summed (cached per row until the row's origin changes), and the
-reason clause is emitted with a single hinted step before the solver
-relies on it.  A top-level conflict closes the proof with the empty clause.
+justified lazily: a record that implies an unassigned literal becomes that
+literal's reason as it stands, and only when conflict analysis resolves on
+the literal is the record justified.  The engine's shadow matrix names the
+initial constraints summing to the row, those constraints' trusted BDDs
+(each proved from its encoding clauses the first time a sum needs it) are
+summed (cached per row until the row's origin changes), and the reason
+clause is emitted with a single hinted step before the step that hints it.
+A conflicting record is justified at once.  A top-level conflict closes the
+proof with the empty clause.
 
 State layout (MiniSat's): assignment, levels, reasons and watches live in
 flat lists, not dicts.  `lval[lit]` is True, False or None for every literal
@@ -23,6 +27,8 @@ of the n variables; it has 2n+1 slots, so Python's negative indexing puts
 the `_Clause` objects watching each literal.  `levels`, `reason_lits` and
 `reason_pid` are indexed by variable and are only meaningful while the
 variable is assigned; backtracking clears `lval` and leaves the rest stale.
+A `reason_pid` entry is a proof id, None (a decision, or no proof), or the
+parity engine's `ReasonRecord` while that reason is not yet justified.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import time
 from dataclasses import dataclass
 
 from .formula import CnfFormula, extract_xors
-from .gauss import CONFLICT, ParityEngine
+from .gauss import CONFLICT, ParityEngine, ReasonRecord
 from .lrat import DEFAULT_MAX_PROOF_CLAUSES, ProofLimitExceeded, ProofWriter
 from .tbdd import DeadlineExceeded, TbddEngine
 
@@ -71,6 +77,7 @@ class SolveResult:
     ext_vars: int = 0
     peak_bdd_nodes: int = 0
     gc_collections: int = 0
+    justifications: int = 0
     stop_reason: str = "done"
 
 
@@ -136,7 +143,7 @@ class Solver:
         self.par: ParityEngine | None = None
         self.tb: TbddEngine | None = None
         self.xors = []
-        self.xor_tbdds = []
+        self.xor_tbdds = []  # per recovered XOR: its Tbdd once a sum needs it
         self.row_sum: dict[int, tuple] = {}    # row -> (origin, summed Tbdd)
         self.justified: dict[tuple, int] = {}  # reason clause -> proof id
         # stats
@@ -221,15 +228,6 @@ class Solver:
 
     # -- parity preparation --------------------------------------------------
 
-    def _build_xor_tbdd(self, con):
-        """The constraint's canonical parity BDD, proved straight from its
-        own encoding clauses by `TbddEngine.tbdd_from_xor`.  Every node it
-        creates stays reachable from the root, so nothing is collectable."""
-        self._check_time()
-        return self.tb.tbdd_from_xor(
-            con, [(cid, self.f.clause(cid)) for cid in con.source_clauses]
-        )
-
     def _prepare_parity(self):
         self.xors = extract_xors(self.f)
         if not self.xors:
@@ -239,26 +237,41 @@ class Solver:
         self.par = ParityEngine(self.xors, column_vars=cols)
         if self.writer is not None:
             self.tb = TbddEngine(self.order, self.writer, self.f.num_vars, self.deadline)
-            self.xor_tbdds = [self._build_xor_tbdd(c) for c in self.xors]
+            self.xor_tbdds = [None] * len(self.xors)
         self.par.full_reduce(self._check_time)
+
+    def _xor_tbdd(self, i):
+        """Recovered XOR i's canonical parity BDD, proved straight from its
+        own encoding clauses by `TbddEngine.tbdd_from_xor` the first time a
+        sum needs it.  Every node it creates stays reachable from the root,
+        so nothing is collectable."""
+        t = self.xor_tbdds[i]
+        if t is None:
+            self._check_time()
+            con = self.xors[i]
+            t = self.xor_tbdds[i] = self.tb.tbdd_from_xor(
+                con, [(cid, self.f.clause(cid)) for cid in con.source_clauses]
+            )
+        return t
 
     def _justify(self, rec):
         """Proof id of a step deriving rec.clause (None without a proof).
-        A row's sum is rebuilt when its origin changes; a justified clause's
-        step is never deleted, so its id is cached by clause."""
+        A justified clause's step is never deleted, so its id is cached by
+        clause.  A row's sum is rebuilt when its origin changes."""
         if self.tb is None:
             return None
+        pid = self.justified.get(rec.clause)
+        if pid is not None:
+            return pid
         row = rec.row
         ent = self.row_sum.get(row)
         if ent is None or ent[0] != rec.origin:
             if ent is not None and len(ent[0]) > 1:  # else an input's own Tbdd
                 self.tb.drop(ent[1])
-            summed = self.tb.greedy_sum([self.xor_tbdds[i] for i in rec.origin])
+            summed = self.tb.greedy_sum([self._xor_tbdd(i) for i in rec.origin])
             ent = self.row_sum[row] = (rec.origin, summed)
-        pid = self.justified.get(rec.clause)
-        if pid is None:
-            pid = self.justified[rec.clause] = self.tb.tbdd_justify_clause(ent[1], rec.clause)
-            self.tb.maybe_collect()
+        pid = self.justified[rec.clause] = self.tb.tbdd_justify_clause(ent[1], rec.clause)
+        self.tb.maybe_collect()
         return pid
 
     # -- propagation ---------------------------------------------------------
@@ -341,18 +354,20 @@ class Solver:
                         return out
 
     def _handle_record(self, rec):
-        """Justify a parity record and enqueue its implied literal; returns
-        (clause, proof id) if the record conflicts with the assignment."""
-        pid = self._justify(rec)
-        if rec.kind == CONFLICT:
-            return rec.clause, pid
-        lit = rec.clause[0]
-        val = self.lval[lit]
-        if val is None:
-            self._enqueue(lit, rec.clause, pid)
-        elif val is False:
-            return rec.clause, pid
-        return None
+        """Enqueue a parity record's implied literal with the record itself
+        as its reason (None without a proof), to be justified only if
+        conflict analysis resolves on it.  A record that conflicts with the
+        assignment is justified at once and returned as (clause, proof id);
+        one whose literal is already true is dropped."""
+        if rec.kind != CONFLICT:
+            lit = rec.clause[0]
+            val = self.lval[lit]
+            if val is None:
+                self._enqueue(lit, rec.clause, rec if self.tb is not None else None)
+                return None
+            if val:
+                return None
+        return rec.clause, self._justify(rec)
 
     # -- conflict analysis ---------------------------------------------------
 
@@ -396,7 +411,10 @@ class Solver:
         learned = (-uip,) + tuple(tail)
         bj = levels[abs(tail[0])] if tail else 0
         resolved.sort()
-        hints = [pid for _, pid in resolved] + [confl_pid]
+        # a parity reason is justified the first time it is resolved on
+        justify = self._justify
+        hints = [justify(r) if r.__class__ is ReasonRecord else r for _, r in resolved]
+        hints.append(confl_pid)
         return learned, bj, hints
 
     def _derive_empty(self, confl_lits, confl_pid):
@@ -415,7 +433,10 @@ class Solver:
             picked.append((idx, self.reason_pid[v]))
             need.update(abs(q) for q in rl)
         picked.sort()
-        self.writer.add((), [pid for _, pid in picked] + [confl_pid])
+        justify = self._justify
+        hints = [justify(r) if r.__class__ is ReasonRecord else r for _, r in picked]
+        hints.append(confl_pid)
+        self.writer.add((), hints)
 
     def _learn(self, learned, hints):
         pid = None
@@ -467,11 +488,13 @@ class Solver:
     def _verify_model(self):
         lval = self.lval
         asg = {v: lval[v] for v in range(1, self.f.num_vars + 1) if lval[v] is not None}
+        # raised, not asserted, so that `python -O` keeps the check
         for cid in range(1, self.f.num_clauses + 1):
-            lits = self.f.clause(cid)
-            assert any(lval[l] for l in lits), f"model misses clause {cid}"
+            if not any(lval[l] for l in self.f.clause(cid)):
+                raise AssertionError(f"model misses clause {cid}")
         for con in self.xors:
-            assert con.satisfied_by(asg), f"model violates recovered constraint {con}"
+            if not con.satisfied_by(asg):
+                raise AssertionError(f"model violates recovered constraint {con}")
         return sorted((v if asg[v] else -v) for v in range(1, self.f.num_vars + 1))
 
     def _search(self):
@@ -550,4 +573,5 @@ class Solver:
             res.ext_vars = self.tb.bdd.created_total
             res.peak_bdd_nodes = self.tb.bdd.peak_nodes
             res.gc_collections = self.tb.gc_collections
+            res.justifications = len(self.justified)
         return res

@@ -193,10 +193,13 @@ def test_criterion_8_justification_and_gc_replay():
                 self.marks.append(self.writer.sink.tell())
             return pid
 
+    # parity reasons are justified only when conflict analysis uses them;
+    # under the generator's variable order this search uses none, so the
+    # solver's default order is the one that exercises justification
     inst = gen_lpn(LpnConfig(n=14, bound_offset=True, seed=77))
     assert lpn_oracle(inst) == "UNSAT"
     sink = StringIO()
-    s = SnapshotSolver(inst.formula, proof_sink=sink, var_order=inst.var_order)
+    s = SnapshotSolver(inst.formula, proof_sink=sink)
     res = s.solve()
     assert res.status == UNSAT
     text = sink.getvalue()

@@ -1,14 +1,19 @@
 """End-to-end checks of the command-line surface.
 
 Everything runs in-process through cli.main so exit codes and printed
-output are asserted directly, with files routed through tmp_path.
+output are asserted directly, with files routed through tmp_path; only the
+`python -O` checks need a process of their own.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import xorcert
 from xorcert import cli
 from xorcert.formula import parse_dimacs
 from xorcert.lrat import check, parse_proof
@@ -311,6 +316,49 @@ class TestEngineFailures:
         assert row["verified"] is None
 
 
+# Run under `python -O`, which strips assert statements: a search that ends
+# on an assignment missing clause 1, and a step written after the empty
+# clause, must still fail.
+OPTIMIZED_FAILURES = {
+    "bad-model": (
+        "from xorcert import cli\n"
+        "from xorcert.solver import SAT, Solver\n"
+        "def search(self):\n"
+        "    self._enqueue(-1, None, None)\n"
+        "    self._enqueue(-2, None, None)\n"
+        "    return SAT\n"
+        "Solver._search = search\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n",
+        "error: AssertionError: model misses clause 1\n",
+    ),
+    "step-after-empty": (
+        "import io\n"
+        "from xorcert.lrat import ProofWriter\n"
+        "w = ProofWriter(io.StringIO(), 1)\n"
+        "w.add((), [1])\n"
+        "w.add((1,), [1])\n",
+        "AssertionError: no steps may follow the empty clause\n",
+    ),
+}
+
+
+class TestOptimizedInterpreter:
+    @pytest.mark.parametrize("case", sorted(OPTIMIZED_FAILURES))
+    def test_checks_survive_dash_O(self, tmp_path, case):
+        code, err_tail = OPTIMIZED_FAILURES[case]
+        cnf = write(tmp_path / "a.cnf", "p cnf 2 1\n1 2 0\n")
+        src = os.path.dirname(os.path.dirname(xorcert.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        prelude = "import sys\nif not sys.flags.optimize: sys.exit(99)\n"
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", prelude + code, "solve", cnf],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 1, (run.returncode, run.stdout, run.stderr)
+        assert run.stderr.endswith(err_tail)
+        assert "s SATISFIABLE" not in run.stdout
+
+
 class TestCheckCommand:
     def test_mutated_proof_rejected(self, tmp_path, capsys):
         cnf = str(tmp_path / "u.cnf")
@@ -382,7 +430,7 @@ class TestRunReport:
         "instance", "mode", "status", "wall_time", "conflicts", "decisions",
         "propagations", "parity_propagations", "restarts", "num_xors",
         "proof_adds", "proof_deletes", "ext_vars", "peak_bdd_nodes",
-        "gc_collections", "stop_reason", "par2",
+        "gc_collections", "justifications", "stop_reason", "par2",
     }
 
     def test_report_fields_present(self, tmp_path):

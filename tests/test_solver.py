@@ -357,3 +357,88 @@ class TestRowModificationInvalidatesJustificationCache:
         res = check(f, parse_proof(sink.getvalue()), refutation=False)
         assert res.ok, res
         assert res.deletes > 0, "retired row sum must be deleted from the proof"
+
+
+class TestLazyJustification:
+    """A parity record that implies a literal is its reason unjustified;
+    conflict analysis justifies it the first time it resolves on it."""
+
+    def test_unused_reasons_leave_the_clausal_proof(self):
+        # an lpn-xor workload instance: every parity record in its search
+        # finds its literal already true, so nothing is justified and no
+        # XOR BDD is built
+        inst = gen_lpn(LpnConfig(n=12, bound_offset=True, seed=32013))
+        proofs = {}
+        for use_xor in (True, False):
+            sink = StringIO()
+            r = Solver(inst.formula, use_xor=use_xor, proof_sink=sink,
+                       var_order=inst.var_order).solve()
+            assert r.status == UNSAT
+            proofs[use_xor] = sink.getvalue()
+            if use_xor:
+                assert r.num_xors > 0 and r.parity_propagations > 0
+                assert (r.ext_vars, r.justifications) == (0, 0)
+        assert proofs[True] == proofs[False]
+
+    def test_resolved_reason_justified_once_before_its_use(self, monkeypatch):
+        calls = {}
+        justify_clause = tbdd.TbddEngine.tbdd_justify_clause
+
+        def counted(self, a, clause):
+            pid = justify_clause(self, a, clause)
+            calls.setdefault(clause, []).append(pid)
+            return pid
+
+        monkeypatch.setattr(tbdd.TbddEngine, "tbdd_justify_clause", counted)
+        kinds = {}
+
+        class Recording(Solver):
+            def _justify(self, rec):
+                pid = super()._justify(rec)
+                kinds[pid] = rec.kind
+                return pid
+
+        inst = gen_lpn(LpnConfig(n=6, bound_offset=True, seed=8))
+        sink = StringIO()
+        r = Recording(inst.formula, proof_sink=sink).solve()
+        assert r.status == UNSAT
+        assert all(len(pids) == 1 for pids in calls.values())
+        assert r.justifications == len(calls) > 0
+        steps = parse_proof(sink.getvalue())
+        assert check(inst.formula, steps).ok
+        first_use = {}
+        for st in steps:
+            for h in getattr(st, "hints", ()):
+                first_use.setdefault(h, st)
+        # every justification is written just for a later step that hints
+        # it, and some propagation reason first serves a learned clause
+        assert all(first_use[pid].id > pid for (pid,) in calls.values())
+        assert any(kind == gauss.PROPAGATION and first_use[pid].lits
+                   for pid, kind in kinds.items())
+
+    @pytest.mark.parametrize("stop", ["timeout", "proof-budget"])
+    def test_limit_inside_a_lazy_justification(self, stop):
+        class Expiring(Solver):
+            expired = False
+
+            def _justify(self, rec):
+                # a lazy reason's implied literal is true, an eager one's false
+                lazy = rec.kind == gauss.PROPAGATION and self.lval[rec.clause[0]]
+                if lazy and not self.expired and any(
+                        self.xor_tbdds[i] is None for i in rec.origin):
+                    # the first lazy reason whose sum needs an unbuilt XOR
+                    # BDD: either limit runs out during its justification
+                    self.expired = True
+                    if stop == "timeout":
+                        self.deadline = self.tb.deadline = 0.0
+                    else:
+                        self.writer.max_clauses = self.writer.adds
+                return super()._justify(rec)
+
+        inst = gen_lpn(LpnConfig(n=6, bound_offset=True, seed=8))
+        sink = StringIO()
+        s = Expiring(inst.formula, proof_sink=sink)
+        r = s.solve()
+        assert s.expired
+        assert (r.status, r.stop_reason) == (LIMIT, stop)
+        assert_verified(inst.formula, sink.getvalue(), refutation=False)
