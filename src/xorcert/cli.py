@@ -4,31 +4,26 @@ Exit codes follow SAT-competition convention for solve (10 satisfiable,
 20 unsatisfiable, 30 resource limit, 1 error); check exits 0 on Verified
 and 2 on Rejected.  Reports are JSON-lines so harnesses can consume them
 without scraping the human-readable table.
+
+Each command imports the engines it runs inside its own body, so a process
+loads only what its command needs: `check` loads the DIMACS reader and the
+checker, and a clausal `solve` no BDD module.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
 import time
 
-from .bdd import Bdd, BddCapacityError
 from .formula import DimacsError, extract_xors, parse_dimacs, write_dimacs
-from .gauss import ParityEngine
 from .lrat import DEFAULT_MAX_PROOF_CLAUSES, check, iter_proof
-from .solver import LIMIT, SAT, UNSAT, SolveResult, Solver, checked_order
-from .tbdd import ProofEngineError
 
-EXIT_CODES = {SAT: 10, UNSAT: 20, LIMIT: 30}
 BENCH_TIMEOUT = 10.0
-# Internal failures of a solve: reported as status ERROR with the exception
-# class as stop_reason, a one-line diagnostic and exit 1, never a traceback.
 ERROR = "ERROR"
-ENGINE_ERRORS = (RecursionError, ProofEngineError, BddCapacityError, AssertionError)
 
 
 class _InputError(Exception):
@@ -78,6 +73,8 @@ def _out(path, text):
 
 
 def run_report(name: str, res, timeout, mode: str) -> dict:
+    from .solver import SAT, UNSAT
+
     par2 = None
     if timeout is not None:
         par2 = round(res.elapsed if res.status in (SAT, UNSAT) else 2.0 * timeout, 6)
@@ -106,18 +103,35 @@ def run_report(name: str, res, timeout, mode: str) -> dict:
 # -- solve ------------------------------------------------------------------
 
 
-def _run_solver(solver) -> SolveResult:
+def _engine_errors():
+    """Internal failures of a solve: reported as status ERROR with the
+    exception class as stop_reason, a one-line diagnostic and exit 1, never
+    a traceback.  An except clause evaluates this only while an exception
+    propagates, so catching the BDD engines' errors loads no BDD module."""
+    from .bdd import BddCapacityError
+    from .tbdd import ProofEngineError
+
+    return (RecursionError, ProofEngineError, BddCapacityError, AssertionError)
+
+
+def _run_solver(solver):
     """solver.solve(), with an engine failure turned into an ERROR result
     and a one-line diagnostic on stderr."""
+    from .solver import SolveResult
+
     t0 = time.monotonic()
     try:
         return solver.solve()
-    except ENGINE_ERRORS as e:
+    except _engine_errors() as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return SolveResult(ERROR, elapsed=time.monotonic() - t0, stop_reason=type(e).__name__)
 
 
 def cmd_solve(args) -> int:
+    import json
+
+    from .solver import LIMIT, SAT, UNSAT, Solver, checked_order
+
     _check_timeout(args.timeout)
     if args.max_proof_clauses < 1:
         raise _InputError(f"--max-proof-clauses must be at least 1, not {args.max_proof_clauses}")
@@ -150,17 +164,15 @@ def cmd_solve(args) -> int:
             report.write(json.dumps(rep) + "\n")
     if res.status == ERROR:
         return 1
-    print(
-        {
-            SAT: "s SATISFIABLE",
-            UNSAT: "s UNSATISFIABLE",
-            LIMIT: "s UNKNOWN",
-        }[res.status]
-    )
+    line, code = {
+        SAT: ("s SATISFIABLE", 10),
+        UNSAT: ("s UNSATISFIABLE", 20),
+        LIMIT: ("s UNKNOWN", 30),
+    }[res.status]
+    print(line)
     if res.status == SAT:
-        lits = sorted(res.model, key=abs)
-        print("v " + " ".join(str(l) for l in lits) + " 0")
-    return EXIT_CODES[res.status]
+        print(" ".join(["v", *map(str, sorted(res.model, key=abs)), "0"]))
+    return code
 
 
 # -- check ------------------------------------------------------------------
@@ -223,6 +235,7 @@ def _bench_task(task):
     """Generate, solve, and (for refutations) check one instance in one
     mode.  Shaped for a worker pool, so everything crosses as plain data."""
     from .benchgen import LpnConfig, UrqConfig, gen_lpn, gen_urquhart
+    from .solver import UNSAT, Solver
 
     family, params, seed, use_xor, timeout, check_proofs = task
     if family == "urq":
@@ -272,6 +285,8 @@ def _parse_range(text):
 
 
 def cmd_bench(args) -> int:
+    import json
+
     _check_timeout(args.timeout)
     tasks = []
     seed = args.seed if args.seed is not None else _env_seed()
@@ -333,6 +348,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_bdd_dump(args) -> int:
+    from .bdd import Bdd
+
     f, cons = _read_xors(args)
     if not 0 <= args.index < len(cons):
         raise _InputError(f"constraint index out of range (0..{len(cons) - 1})")
@@ -344,6 +361,8 @@ def cmd_bdd_dump(args) -> int:
 
 
 def cmd_gj_trace(args) -> int:
+    from .gauss import ParityEngine
+
     _, cons = _read_xors(args)
     eng = ParityEngine(cons)
     if args.reduce:

@@ -7,7 +7,8 @@ positions in the formula's clause list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 MAX_XOR_ARITY = 30  # 2**(k-1) encoding clauses; wider constraints are refused
 
@@ -16,10 +17,9 @@ def lit_var(lit: int) -> int:
     return lit if lit > 0 else -lit
 
 
-@dataclass
-class CnfFormula:
+class CnfFormula(NamedTuple):
     num_vars: int
-    clauses: list[tuple[int, ...]] = field(default_factory=list)
+    clauses: list[tuple[int, ...]]
 
     def clause(self, cid: int) -> tuple[int, ...]:
         """Clause by 1-based id."""
@@ -30,8 +30,7 @@ class CnfFormula:
         return len(self.clauses)
 
 
-@dataclass(frozen=True)
-class ParityConstraint:
+class ParityConstraint(namedtuple("ParityConstraint", "vars phase source_clauses")):
     """XOR of `vars` equals `phase` (vars sorted ascending, no duplicates).
 
     source_clauses holds the 1-based ids of the CNF clauses this constraint
@@ -39,13 +38,12 @@ class ParityConstraint:
     constraints that arise as sums.
     """
 
-    vars: tuple[int, ...]
-    phase: int
-    source_clauses: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        assert list(self.vars) == sorted(set(self.vars)), "vars must be sorted, unique"
-        assert self.phase in (0, 1)
+    def __new__(cls, vars: tuple[int, ...], phase: int, source_clauses: tuple[int, ...] = ()):
+        assert list(vars) == sorted(set(vars)), "vars must be sorted, unique"
+        assert phase in (0, 1)
+        return super().__new__(cls, vars, phase, source_clauses)
 
     @property
     def arity(self) -> int:

@@ -19,14 +19,13 @@ no engine state, is kept alongside as the slow reference path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 PROPAGATION = "propagation"
 CONFLICT = "conflict"
 
 
-@dataclass(frozen=True)
-class ReasonRecord:
+class ReasonRecord(NamedTuple):
     """A clause the parity engine is prepared to defend.
 
     For a propagation the implied literal comes first, followed by the

@@ -17,7 +17,6 @@ length of the proof.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import neg
 from typing import NamedTuple
 
@@ -28,6 +27,10 @@ DEFAULT_MAX_PROOF_CLAUSES = 2**30
 
 class ProofLimitExceeded(Exception):
     """Raised by ProofWriter when the emitted-clause budget is exhausted."""
+
+
+class DeadlineExceeded(Exception):
+    """The solve's deadline passed; every step written so far is whole."""
 
 
 class ProofSyntaxError(ValueError):
@@ -143,8 +146,7 @@ class ProofWriter:
         return self.last_id
 
 
-@dataclass
-class Verified:
+class Verified(NamedTuple):
     steps: int
     adds: int
     deletes: int
@@ -153,8 +155,7 @@ class Verified:
     ok: bool = True
 
 
-@dataclass
-class Rejected:
+class Rejected(NamedTuple):
     step_id: int
     reason: str
     ok: bool = False

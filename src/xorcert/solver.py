@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import CnfFormula, extract_xors
 from .gauss import CONFLICT, ParityEngine, ReasonRecord
-from .lrat import DEFAULT_MAX_PROOF_CLAUSES, ProofLimitExceeded, ProofWriter
-from .tbdd import DeadlineExceeded, TbddEngine
+from .lrat import DEFAULT_MAX_PROOF_CLAUSES, DeadlineExceeded, ProofLimitExceeded, ProofWriter
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -60,8 +59,7 @@ def luby(i: int) -> int:
     return luby(i - (1 << (k - 1)) + 1)
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     status: str
     model: list[int] | None = None
     conflicts: int = 0
@@ -141,7 +139,7 @@ class Solver:
         heapq.heapify(self.heap)
         # parity side
         self.par: ParityEngine | None = None
-        self.tb: TbddEngine | None = None
+        self.tb = None  # the TbddEngine, when parity reasons need proofs
         self.xors = []
         self.xor_tbdds = []  # per recovered XOR: its Tbdd once a sum needs it
         self.row_sum: dict[int, tuple] = {}    # row -> (origin, summed Tbdd)
@@ -236,6 +234,8 @@ class Solver:
         cols = [v for v in self.order if v in support]
         self.par = ParityEngine(self.xors, column_vars=cols)
         if self.writer is not None:
+            from .tbdd import TbddEngine  # only here: a clausal solve loads no BDD module
+
             self.tb = TbddEngine(self.order, self.writer, self.f.num_vars, self.deadline)
             self.xor_tbdds = [None] * len(self.xors)
         self.par.full_reduce(self._check_time)
@@ -553,7 +553,8 @@ class Solver:
         except ProofLimitExceeded:
             status = LIMIT
             stop = "proof-budget"
-        res = SolveResult(
+        writer, tb = self.writer, self.tb
+        return SolveResult(
             status=status,
             model=model,
             conflicts=self.conflicts,
@@ -564,14 +565,11 @@ class Solver:
             learned=self.learned_count,
             num_xors=len(self.xors),
             elapsed=time.monotonic() - t0,
+            proof_adds=writer.adds if writer else 0,
+            proof_deletes=writer.deletes if writer else 0,
+            ext_vars=tb.bdd.created_total if tb else 0,
+            peak_bdd_nodes=tb.bdd.peak_nodes if tb else 0,
+            gc_collections=tb.gc_collections if tb else 0,
+            justifications=len(self.justified) if tb else 0,
             stop_reason=stop,
         )
-        if self.writer is not None:
-            res.proof_adds = self.writer.adds
-            res.proof_deletes = self.writer.deletes
-        if self.tb is not None:
-            res.ext_vars = self.tb.bdd.created_total
-            res.peak_bdd_nodes = self.tb.bdd.peak_nodes
-            res.gc_collections = self.tb.gc_collections
-            res.justifications = len(self.justified)
-        return res

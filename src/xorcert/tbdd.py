@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from .bdd import _LEVEL_TERM, T0, T1, TRUE_SENTINEL, Bdd
 from .formula import ParityConstraint
+from .lrat import DeadlineExceeded
 
 # slots of a node's defining clauses in TbddEngine.defs
 HD, LD, HU, LU = 0, 1, 2, 3
@@ -41,10 +42,6 @@ GC_GROWTH_DIV = 4
 class ProofEngineError(Exception):
     """A lemma failed to close under its own hints: a solver bug, not an
     input problem.  The proof stream is abandoned."""
-
-
-class DeadlineExceeded(Exception):
-    """The solve's deadline passed; every step written so far is whole."""
 
 
 def _clean(lits):

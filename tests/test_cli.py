@@ -2,7 +2,8 @@
 
 Everything runs in-process through cli.main so exit codes and printed
 output are asserted directly, with files routed through tmp_path; only the
-`python -O` checks need a process of their own.
+`python -O` checks, the per-command module sets and the bench worker pool
+need processes of their own.
 """
 
 import json
@@ -70,6 +71,11 @@ class TestSolveExitCodes:
         lits = [int(t) for t in vline[2:].split()]
         assert lits[-1] == 0
         assert [abs(l) for l in lits[:-1]] == [1, 2, 3]
+
+    def test_empty_model_line(self, tmp_path, capsys):
+        cnf = write(tmp_path / "a.cnf", "p cnf 0 0\n")
+        assert cli.main(["solve", cnf]) == 10
+        assert capsys.readouterr().out == "s SATISFIABLE\nv 0\n"
 
     def test_unsat_is_20(self, tmp_path, capsys):
         cnf = write(tmp_path / "a.cnf", "p cnf 1 2\n1 0\n-1 0\n")
@@ -282,7 +288,7 @@ def fail_solves(monkeypatch, exc):
     def boom(self):
         raise exc
 
-    monkeypatch.setattr(cli.Solver, "solve", boom)
+    monkeypatch.setattr("xorcert.solver.Solver.solve", boom)
 
 
 class TestEngineFailures:
@@ -342,21 +348,64 @@ OPTIMIZED_FAILURES = {
 }
 
 
+def src_env():
+    """The environment of a child process that imports this xorcert."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xorcert.__file__)))
+
+
 class TestOptimizedInterpreter:
     @pytest.mark.parametrize("case", sorted(OPTIMIZED_FAILURES))
     def test_checks_survive_dash_O(self, tmp_path, case):
         code, err_tail = OPTIMIZED_FAILURES[case]
         cnf = write(tmp_path / "a.cnf", "p cnf 2 1\n1 2 0\n")
-        src = os.path.dirname(os.path.dirname(xorcert.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
         prelude = "import sys\nif not sys.flags.optimize: sys.exit(99)\n"
         run = subprocess.run(
             [sys.executable, "-O", "-c", prelude + code, "solve", cnf],
-            env=env, capture_output=True, text=True, timeout=60,
+            env=src_env(), capture_output=True, text=True, timeout=60,
         )
         assert run.returncode == 1, (run.returncode, run.stdout, run.stderr)
         assert run.stderr.endswith(err_tail)
         assert "s SATISFIABLE" not in run.stdout
+
+
+# Modules a command must leave unloaded: `check` runs the DIMACS reader and
+# the checker alone, and a clausal solve builds no BDD.
+UNLOADED = {
+    "check": ["xorcert.solver", "xorcert.gauss", "xorcert.tbdd", "xorcert.bdd",
+              "xorcert.benchgen", "dataclasses", "json"],
+    "solve": ["xorcert.tbdd", "xorcert.bdd", "dataclasses"],
+}
+
+
+class TestImportSets:
+    @pytest.mark.parametrize("command", sorted(UNLOADED))
+    def test_command_loads_only_what_it_runs(self, tmp_path, command):
+        # PAIRS_CNF holds two recoverable XORs, which --no-xor must ignore
+        cnf = write(tmp_path / "p.cnf", PAIRS_CNF)
+        argv = {
+            "check": ["check", cnf, write(tmp_path / "p.lrat", "5 1 0 1 2 0\n6 0 5 3 4 0\n")],
+            "solve": ["solve", cnf, "--no-xor", "--proof", str(tmp_path / "out.lrat")],
+        }[command]
+        code = (
+            "import sys\n"
+            "from xorcert import cli\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+            "sys.exit(rc)\n"
+        )
+        run = subprocess.run([sys.executable, "-c", code, *argv], env=src_env(),
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == {"check": 0, "solve": 20}[command], run.stderr
+        loaded = set(run.stdout.splitlines()[-1].split())
+        assert "xorcert.lrat" in loaded
+        assert loaded.isdisjoint(UNLOADED[command]), loaded & set(UNLOADED[command])
+
+    def test_moved_names_keep_their_import_paths(self):
+        from xorcert import bdd, lrat, tbdd
+
+        assert tbdd.DeadlineExceeded is lrat.DeadlineExceeded
+        assert bdd.BddCapacityError is BddCapacityError
+        assert tbdd.ProofEngineError is ProofEngineError
 
 
 class TestCheckCommand:
@@ -470,6 +519,25 @@ class TestBench:
         assert len(rows) == 1
         assert rows[0]["verified"] is True
         assert rows[0]["par2"] is not None
+
+    def test_worker_pool_matches_one_process(self, tmp_path):
+        # in a process of its own, so the two forked workers import the
+        # solver themselves rather than inherit it from this one
+        keys = ("instance", "mode", "status", "proof_adds", "verified")
+        rows = {}
+        for jobs in ("1", "2"):
+            rep = tmp_path / f"bench{jobs}.jsonl"
+            run = subprocess.run(
+                [sys.executable, "-m", "xorcert.cli", "bench", "urq", "--m-range", "3:4",
+                 "--seed", "5", "--timeout", "60", "--jobs", jobs, "--report", str(rep)],
+                env=src_env(), capture_output=True, text=True, timeout=300,
+            )
+            assert run.returncode == 0, run.stderr
+            reports = map(json.loads, rep.read_text().splitlines())
+            rows[jobs] = [[r[k] for k in keys] for r in reports]
+        assert rows["1"] == rows["2"]
+        assert [r[0] for r in rows["1"]] == ["urq-m3-s8", "urq-m4-s9"]
+        assert all(r[2] == "UNSAT" and r[4] is True for r in rows["1"])
 
     def test_empty_suite_is_ok(self, capsys):
         assert cli.main(["bench", "urq", "--m-range", "5:4"]) == 0
