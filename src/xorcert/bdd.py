@@ -106,7 +106,8 @@ class Bdd:
             _, hi, lo = self.nodes[u]
             stack.append(hi)
             stack.append(lo)
-        freed = sorted(set(self.nodes) - marked)
+        # handles are allocated ascending and `nodes` keeps insertion order
+        freed = [u for u in self.nodes if u not in marked]
         if not freed:
             return []
         for u in freed:

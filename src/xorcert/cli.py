@@ -7,7 +7,8 @@ without scraping the human-readable table.
 
 Each command imports the engines it runs inside its own body, so a process
 loads only what its command needs: `check` loads the DIMACS reader and the
-checker, and a clausal `solve` no BDD module.
+checker, and neither a clausal `solve` nor an xor-mode `solve` that
+justifies no parity reason loads a BDD module.
 """
 
 from __future__ import annotations
@@ -179,12 +180,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    # the proof streams through the checker line by line; lines are decoded
-    # one at a time so a decoding error names its line
+    # the proof streams through the checker line by line, as bytes: only a
+    # line that is not all integers is decoded, so a decoding error names
+    # its line
     f = _read_cnf(args.cnf)
     try:
         with open(args.proof, "rb") as fh:
-            res = check(f, iter_proof(map(bytes.decode, fh)), refutation=not args.derivation)
+            res = check(f, iter_proof(fh), refutation=not args.derivation)
     except ValueError as e:
         raise _InputError(e) from None
     if res.ok:

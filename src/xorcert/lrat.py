@@ -8,10 +8,10 @@ extension-variable definition: it is accepted only when it is blocked on
 its first literal, whose variable must not occur in the input formula.
 
 Checking streams.  `iter_proof` parses one line at a time from any
-iterable of lines (an open file works) and `check` consumes any iterable
-of steps, stopping at the first line that fails to parse or to check.  The
-checker's memory is bounded by the clauses live at each step, not by the
-length of the proof.
+iterable of str or bytes lines (a file open in either mode works) and
+`check` consumes any iterable of steps, stopping at the first line that
+fails to parse or to check.  The checker's memory is bounded by the
+clauses live at each step, not by the length of the proof.
 """
 
 from __future__ import annotations
@@ -57,24 +57,40 @@ def delete_line(sid, ids) -> str:
 
 
 def iter_proof(lines):
-    """Yield the steps of the proof text in `lines`, one line at a time.
+    """Yield the steps of the proof in `lines`, one line at a time.  Lines
+    may be str or UTF-8 bytes.
 
     Raises ProofSyntaxError, prefixed with the 1-based line number, at the
-    first malformed line, and for a line that cannot be decoded."""
+    first malformed line, and for a line that cannot be decoded, whether
+    this function or the iterable decodes it."""
     lineno = 0
     try:
         for lineno, raw in enumerate(lines, start=1):
-            toks = raw.split()
-            if not toks or toks[0][0] == "c":
-                continue
-            if len(toks) > 1 and toks[1] == "d":
-                yield _delete_step(lineno, toks)
-                continue
+            # an add step is all integers, which int() reads from str and
+            # ASCII bytes alike; other lines are decoded and split as text
             try:
-                nums = list(map(int, toks))
+                nums = tuple(map(int, raw.split()))
             except ValueError:
-                _step_id(lineno, toks)
-                raise ProofSyntaxError(f"line {lineno}: bad token in add step") from None
+                nums = None
+            if nums is None:
+                if isinstance(raw, bytes):
+                    try:
+                        raw = raw.decode()
+                    except UnicodeDecodeError as e:
+                        raise ProofSyntaxError(f"line {lineno}: {e}") from None
+                toks = raw.split()
+                if not toks or toks[0][0] == "c":
+                    continue
+                if len(toks) > 1 and toks[1] == "d":
+                    yield _delete_step(lineno, toks)
+                    continue
+                try:  # non-ASCII digits and separators read only as text
+                    nums = tuple(map(int, toks))
+                except ValueError:
+                    _step_id(lineno, toks)
+                    raise ProofSyntaxError(f"line {lineno}: bad token in add step") from None
+            if not nums:
+                continue
             try:
                 z = nums.index(0, 1)
                 whole = nums.index(0, z + 1) == len(nums) - 1
@@ -82,8 +98,8 @@ def iter_proof(lines):
                 whole = False
             if not whole:
                 raise ProofSyntaxError(f"line {lineno}: add step needs two 0 terminators")
-            yield AddStep(nums[0], tuple(nums[1:z]), tuple(nums[z + 1 : -1]))
-    except UnicodeDecodeError as e:
+            yield AddStep(nums[0], nums[1:z], nums[z + 1 : -1])
+    except UnicodeDecodeError as e:  # raised by an iterable that decodes
         raise ProofSyntaxError(f"line {lineno + 1}: {e}") from None
 
 

@@ -29,6 +29,16 @@ the `_Clause` objects watching each literal.  `levels`, `reason_lits` and
 variable is assigned; backtracking clears `lval` and leaves the rest stale.
 A `reason_pid` entry is a proof id, None (a decision, or no proof), or the
 parity engine's `ReasonRecord` while that reason is not yet justified.
+`is_col[v]` says whether v is a column of the parity engine, whose
+`on_assign` and `on_unassign` are called for those variables alone.
+
+The decision heap holds (-activity, v) entries, and every free variable has
+one carrying its current key, so the smallest entry of a free variable names
+the free variable of highest activity, lowest index on ties.  Entries of
+assigned variables, and those a bump has outdated, are skipped when popped.
+`queued[v]` is the key of v's newest entry not yet popped, so `_backtrack`
+pushes a freed variable only when its activity changed, and it rebuilds a
+heap of more than 2(n+1) entries from the free variables.
 """
 
 from __future__ import annotations
@@ -135,11 +145,11 @@ class Solver:
         self.activity = [0.0] * (n + 1)
         self.var_inc = 1.0
         self.saved_phase = [False] * (n + 1)
-        self.heap = [(0.0, v) for v in range(1, n + 1)]
-        heapq.heapify(self.heap)
+        self._rebuild_heap()  # sets `heap` and `queued`
         # parity side
         self.par: ParityEngine | None = None
-        self.tb = None  # the TbddEngine, when parity reasons need proofs
+        self.is_col = [False] * (n + 1)
+        self.tb = None  # the TbddEngine, built when a reason first needs a proof
         self.xors = []
         self.xor_tbdds = []  # per recovered XOR: its Tbdd once a sum needs it
         self.row_sum: dict[int, tuple] = {}    # row -> (origin, summed Tbdd)
@@ -175,6 +185,8 @@ class Solver:
         saved_phase = self.saved_phase
         activity = self.activity
         heap = self.heap
+        queued = self.queued
+        is_col = self.is_col
         par = self.par
         ghead = self.ghead
         keep = self.trail_lim[lvl]
@@ -183,13 +195,25 @@ class Solver:
             v = lit if lit > 0 else -lit
             saved_phase[v] = lit > 0
             lval[lit] = lval[-lit] = None
-            if par is not None and idx < ghead:
+            if is_col[v] and idx < ghead:
                 par.on_unassign(v)
-            heapq.heappush(heap, (-activity[v], v))
+            key = -activity[v]
+            if queued[v] != key:
+                queued[v] = key
+                heapq.heappush(heap, (key, v))
         del trail[keep:]
         del self.trail_lim[lvl:]
         self.qhead = len(trail)
         self.ghead = min(ghead, len(trail))
+        if len(heap) > 2 * len(queued):
+            self._rebuild_heap()
+
+    def _rebuild_heap(self):
+        """One entry per free variable, keyed by its current activity."""
+        lval, act = self.lval, self.activity
+        self.queued = [None if lval[u] is not None else -act[u] for u in range(len(act))]
+        self.heap = [(key, u) for u, key in enumerate(self.queued) if u and key is not None]
+        heapq.heapify(self.heap)
 
     def _bump(self, v):
         """Raise v's activity.  v is assigned, so it needs no heap entry
@@ -200,14 +224,16 @@ class Solver:
             for u in range(1, len(act)):
                 act[u] *= 1.0 / ACT_RESCALE
             self.var_inc *= 1.0 / ACT_RESCALE
-            # the queued keys predate the rescale: requeue the free variables
-            lval = self.lval
-            self.heap = [(-act[u], u) for u in range(1, len(act)) if lval[u] is None]
-            heapq.heapify(self.heap)
+            # the queued keys predate the rescale
+            self._rebuild_heap()
 
     def _decide(self):
-        while self.heap:
-            _, v = heapq.heappop(self.heap)
+        heap = self.heap
+        queued = self.queued
+        while heap:
+            key, v = heapq.heappop(heap)
+            if queued[v] == key:
+                queued[v] = None
             if self.lval[v] is None:
                 return v if self.saved_phase[v] else -v
         return None
@@ -233,11 +259,9 @@ class Solver:
         support = {v for c in self.xors for v in c.vars}
         cols = [v for v in self.order if v in support]
         self.par = ParityEngine(self.xors, column_vars=cols)
-        if self.writer is not None:
-            from .tbdd import TbddEngine  # only here: a clausal solve loads no BDD module
-
-            self.tb = TbddEngine(self.order, self.writer, self.f.num_vars, self.deadline)
-            self.xor_tbdds = [None] * len(self.xors)
+        for v in cols:
+            self.is_col[v] = True
+        self.xor_tbdds = [None] * len(self.xors)
         self.par.full_reduce(self._check_time)
 
     def _xor_tbdd(self, i):
@@ -257,12 +281,18 @@ class Solver:
     def _justify(self, rec):
         """Proof id of a step deriving rec.clause (None without a proof).
         A justified clause's step is never deleted, so its id is cached by
-        clause.  A row's sum is rebuilt when its origin changes."""
-        if self.tb is None:
+        clause.  A row's sum is rebuilt when its origin changes.  The BDD
+        layer is built by the first call that needs a proof, so a solve
+        that justifies nothing loads no BDD module."""
+        if self.writer is None:
             return None
         pid = self.justified.get(rec.clause)
         if pid is not None:
             return pid
+        if self.tb is None:
+            from .tbdd import TbddEngine
+
+            self.tb = TbddEngine(self.order, self.writer, self.f.num_vars, self.deadline)
         row = rec.row
         ent = self.row_sum.get(row)
         if ent is None or ent[0] != rec.origin:
@@ -343,11 +373,15 @@ class Solver:
                 return confl.lits, confl.pid
             if self.par is None or self.ghead >= len(trail):
                 return None
+            is_col = self.is_col
             limit = len(trail)
             while self.ghead < limit:
                 p = trail[self.ghead]
                 self.ghead += 1
-                for rec in self.par.on_assign(p if p > 0 else -p, p > 0):
+                v = p if p > 0 else -p
+                if not is_col[v]:
+                    continue
+                for rec in self.par.on_assign(v, p > 0):
                     self.parity_propagations += 1
                     out = self._handle_record(rec)
                     if out is not None:
@@ -363,7 +397,7 @@ class Solver:
             lit = rec.clause[0]
             val = self.lval[lit]
             if val is None:
-                self._enqueue(lit, rec.clause, rec if self.tb is not None else None)
+                self._enqueue(lit, rec.clause, rec if self.writer is not None else None)
                 return None
             if val:
                 return None
@@ -570,6 +604,6 @@ class Solver:
             ext_vars=tb.bdd.created_total if tb else 0,
             peak_bdd_nodes=tb.bdd.peak_nodes if tb else 0,
             gc_collections=tb.gc_collections if tb else 0,
-            justifications=len(self.justified) if tb else 0,
+            justifications=len(self.justified),
             stop_reason=stop,
         )

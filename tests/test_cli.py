@@ -369,11 +369,13 @@ class TestOptimizedInterpreter:
 
 
 # Modules a command must leave unloaded: `check` runs the DIMACS reader and
-# the checker alone, and a clausal solve builds no BDD.
+# the checker alone, and neither a clausal solve nor an xor-mode solve that
+# justifies no parity reason builds a BDD.
 UNLOADED = {
     "check": ["xorcert.solver", "xorcert.gauss", "xorcert.tbdd", "xorcert.bdd",
               "xorcert.benchgen", "dataclasses", "json"],
     "solve": ["xorcert.tbdd", "xorcert.bdd", "dataclasses"],
+    "solve-xor": ["xorcert.tbdd", "xorcert.bdd", "dataclasses"],
 }
 
 
@@ -382,10 +384,19 @@ class TestImportSets:
     def test_command_loads_only_what_it_runs(self, tmp_path, command):
         # PAIRS_CNF holds two recoverable XORs, which --no-xor must ignore
         cnf = write(tmp_path / "p.cnf", PAIRS_CNF)
-        argv = {
-            "check": ["check", cnf, write(tmp_path / "p.lrat", "5 1 0 1 2 0\n6 0 5 3 4 0\n")],
-            "solve": ["solve", cnf, "--no-xor", "--proof", str(tmp_path / "out.lrat")],
-        }[command]
+        proof = str(tmp_path / "out.lrat")
+        if command == "check":
+            argv = ["check", cnf, write(tmp_path / "p.lrat", "5 1 0 1 2 0\n6 0 5 3 4 0\n")]
+        elif command == "solve":
+            argv = ["solve", cnf, "--no-xor", "--proof", proof]
+        else:
+            # an lpn-xor workload instance: its search propagates parity
+            # records but resolves on none, so nothing is justified
+            cnf, order = str(tmp_path / "lpn.cnf"), str(tmp_path / "lpn.order")
+            cli.main(["gen", "lpn", "-n", "12", "--unsat", "--seed", "32013",
+                      "-o", cnf, "--var-order-out", order])
+            argv = ["solve", cnf, "--var-order", order, "--proof", proof,
+                    "--report", str(tmp_path / "report.jsonl")]
         code = (
             "import sys\n"
             "from xorcert import cli\n"
@@ -395,10 +406,13 @@ class TestImportSets:
         )
         run = subprocess.run([sys.executable, "-c", code, *argv], env=src_env(),
                              capture_output=True, text=True, timeout=60)
-        assert run.returncode == {"check": 0, "solve": 20}[command], run.stderr
+        assert run.returncode == (0 if command == "check" else 20), run.stderr
         loaded = set(run.stdout.splitlines()[-1].split())
         assert "xorcert.lrat" in loaded
         assert loaded.isdisjoint(UNLOADED[command]), loaded & set(UNLOADED[command])
+        if command == "solve-xor":
+            rep = json.loads((tmp_path / "report.jsonl").read_text())
+            assert rep["parity_propagations"] > 0 and rep["justifications"] == 0
 
     def test_moved_names_keep_their_import_paths(self):
         from xorcert import bdd, lrat, tbdd

@@ -461,6 +461,15 @@ class TestStreamingParser:
                 want = prefix
             assert check(f, iter_proof(lines)) == want
 
+    def test_bytes_lines_match_str_lines(self, mutated_proofs):
+        # the same steps, syntax errors and verdicts, whether a line is
+        # parsed as bytes or decoded first
+        for f, text in mutated_proofs:
+            lines = text.splitlines()
+            raw = [line.encode() + b"\n" for line in lines]
+            for consume in (lambda _, steps: list(steps), check):
+                assert _outcome(consume, f, raw) == _outcome(consume, f, lines)
+
     def test_iter_proof_is_lazy(self):
         def lines():
             yield "5 1 0 1 2 0"
@@ -477,10 +486,19 @@ class TestStreamingParser:
         assert isinstance(r, Rejected) and "id reuse" in r.reason
 
     def test_undecodable_line_names_its_line(self):
-        it = iter_proof(map(bytes.decode, [b"c ok\n", b"5 1 0 1 2 0\n", b"\xff 0\n"]))
-        assert next(it) == AddStep(5, (1,), (1, 2))
-        with pytest.raises(ProofSyntaxError, match="^line 3: 'utf-8' codec"):
-            next(it)
+        # whether the iterable decodes each line or iter_proof does
+        lines = [b"c ok\n", b"5 1 0 1 2 0\n", b"\xff 0\n"]
+        for it in (iter_proof(map(bytes.decode, lines)), iter_proof(lines)):
+            assert next(it) == AddStep(5, (1,), (1, 2))
+            with pytest.raises(ProofSyntaxError, match="^line 3: 'utf-8' codec"):
+                next(it)
+
+    def test_text_only_separators_and_digits(self):
+        # U+001C separates tokens and U+0661 is a digit only once decoded
+        lines = ["5 1\x1c0 1 2 0", "6 \u0661 0 5 0", "7 d 5\xa00", "\x1c"]
+        want = [AddStep(5, (1,), (1, 2)), AddStep(6, (1,), (5,)), DeleteStep(7, (5,))]
+        assert list(iter_proof(lines)) == want
+        assert list(iter_proof([line.encode() for line in lines])) == want
 
     def test_steps_are_tuples(self):
         add, delete = AddStep(9, (-1,), (3,)), DeleteStep(10, (9,))

@@ -276,6 +276,48 @@ class TestSearchMachinery:
         assert outs[0][0] == UNSAT
         assert outs[1] == outs[0]
 
+    @pytest.mark.parametrize("rescale", [None, 1e3])
+    def test_heap_picks_the_most_active_free_variable_and_stays_bounded(
+            self, monkeypatch, rescale):
+        if rescale is not None:
+            monkeypatch.setattr(solver, "ACT_RESCALE", rescale)
+
+        class Watched(Solver):
+            decides = trims = rescales = 0
+            heap = ()  # until __init__ builds the first heap
+
+            def _decide(self):
+                act, lval = self.activity, self.lval
+                free = [v for v in range(1, len(act)) if lval[v] is None]
+                want = max(free, key=lambda v: (act[v], -v), default=None)
+                lit = super()._decide()
+                assert (abs(lit) if lit else None) == want
+                self.decides += 1
+                return lit
+
+            def _backtrack(self, lvl):
+                super()._backtrack(lvl)
+                assert len(self.heap) <= 2 * len(self.activity)
+
+            def _rebuild_heap(self):
+                self.trims += len(self.heap) > 2 * len(self.activity)
+                super()._rebuild_heap()
+
+            def _bump(self, v):
+                inc = self.var_inc
+                super()._bump(v)
+                self.rescales += self.var_inc != inc
+
+        # lpn-xor workload instances with 580 to 1,181 conflicts
+        for seed in (49013, 51013, 73013):
+            inst = gen_lpn(LpnConfig(n=12, bound_offset=True, seed=seed))
+            s = Watched(inst.formula, var_order=inst.var_order)
+            r = s.solve()
+            assert r.status == UNSAT and r.conflicts >= 500
+            assert s.decides == r.decisions
+            assert s.trims > 0
+            assert (s.rescales > 0) == (rescale is not None)
+
     def test_luby_sequence(self):
         assert [luby(i) for i in range(1, 16)] == [
             1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8,
