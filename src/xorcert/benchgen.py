@@ -51,6 +51,14 @@ class UrqConfig:
     seed: int = 0
     parity: str = "odd"  # "odd" forces an unsatisfiable phase total
 
+    def __post_init__(self):
+        if self.m < 3:
+            raise ValueError("m must be at least 3")
+        if not 25 <= self.p <= 75:
+            raise ValueError("p must lie in [25, 75]")
+        if self.parity not in ("odd", "even"):
+            raise ValueError("parity must be 'odd' or 'even'")
+
 
 @dataclass
 class UrqInstance:
@@ -88,12 +96,6 @@ def _three_regular_edges(n: int, rng: random.Random):
 
 
 def gen_urquhart(cfg: UrqConfig) -> UrqInstance:
-    if cfg.m < 3:
-        raise ValueError("m must be at least 3")
-    if not 25 <= cfg.p <= 75:
-        raise ValueError("p must lie in [25, 75]")
-    if cfg.parity not in ("odd", "even"):
-        raise ValueError("parity must be 'odd' or 'even'")
     rng = random.Random(cfg.seed)
     n_nodes = graph_node_count(cfg.m)
     edges = _three_regular_edges(n_nodes, rng)
@@ -135,6 +137,14 @@ class LpnConfig:
     corrupt_prob: float = 0.125
     bound_offset: bool = False
     seed: int = 0
+
+    def __post_init__(self):
+        if self.n < 4:
+            raise ValueError("n must be at least 4")
+        if not 0.0 <= self.corrupt_prob < 1.0:
+            raise ValueError("corrupt_prob must lie in [0, 1)")
+        if self.num_rows < 1:
+            raise ValueError("m must be at least 1")
 
     @property
     def num_rows(self) -> int:
@@ -217,12 +227,6 @@ def _at_most(vars_, bound, next_aux):
 
 
 def gen_lpn(cfg: LpnConfig) -> LpnInstance:
-    if cfg.n < 4:
-        raise ValueError("n must be at least 4")
-    if not 0.0 <= cfg.corrupt_prob < 1.0:
-        raise ValueError("corrupt_prob must lie in [0, 1)")
-    if cfg.num_rows < 1:
-        raise ValueError("m must be at least 1")
     rng = random.Random(cfg.seed)
     n, m = cfg.n, cfg.num_rows
     target = tuple(rng.getrandbits(1) for _ in range(n))

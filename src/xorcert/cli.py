@@ -235,25 +235,19 @@ def cmd_gen(args) -> int:
 
 def _bench_task(task):
     """Generate, solve, and (for refutations) check one instance in one
-    mode.  Shaped for a worker pool, so everything crosses as plain data."""
-    from .benchgen import LpnConfig, UrqConfig, gen_lpn, gen_urquhart
+    mode.  Shaped for a worker pool: a frozen config and plain values."""
+    from .benchgen import UrqConfig, gen_lpn, gen_urquhart
     from .solver import UNSAT, Solver
 
-    family, params, seed, use_xor, timeout, check_proofs = task
-    if family == "urq":
-        inst = gen_urquhart(UrqConfig(m=params["m"], p=params["p"], seed=seed))
-        name = f"urq-m{params['m']}-s{seed}"
+    cfg, use_xor, timeout, check_proofs = task
+    if isinstance(cfg, UrqConfig):
+        inst = gen_urquhart(cfg)
+        name = f"urq-m{cfg.m}-s{cfg.seed}"
         var_order = None
     else:
-        inst = gen_lpn(
-            LpnConfig(
-                n=params["n"],
-                bound_offset=params["unsat"],
-                seed=seed,
-            )
-        )
-        kind = "unsat" if params["unsat"] else "sat"
-        name = f"lpn-n{params['n']}-{kind}-s{seed}"
+        inst = gen_lpn(cfg)
+        kind = "unsat" if cfg.bound_offset else "sat"
+        name = f"lpn-n{cfg.n}-{kind}-s{cfg.seed}"
         var_order = inst.var_order
     from io import StringIO
 
@@ -289,38 +283,36 @@ def _parse_range(text):
 def cmd_bench(args) -> int:
     import json
 
+    from .benchgen import LpnConfig, UrqConfig
+
     _check_timeout(args.timeout)
-    tasks = []
+    if args.jobs < 1:
+        raise _InputError(f"--jobs must be at least 1, not {args.jobs}")
     seed = args.seed if args.seed is not None else _env_seed()
-    if args.family == "urq":
-        for m in _parse_range(args.m_range):
-            for mode in (True, False) if args.both_modes else (not args.no_xor,):
-                tasks.append(
-                    ("urq", {"m": m, "p": args.p}, seed + m, mode, args.timeout, args.check)
-                )
-    else:
-        for n in _parse_range(args.n_range):
-            for unsat in (False, True):
-                for mode in (True, False) if args.both_modes else (not args.no_xor,):
-                    tasks.append(
-                        (
-                            "lpn",
-                            {"n": n, "unsat": unsat},
-                            seed + n,
-                            mode,
-                            args.timeout,
-                            args.check,
-                        )
-                    )
+    # every config is built, and so checked, before any task runs
+    try:
+        if args.family == "urq":
+            cfgs = [UrqConfig(m=m, p=args.p, seed=seed + m) for m in _parse_range(args.m_range)]
+        else:
+            cfgs = [
+                LpnConfig(n=n, bound_offset=unsat, seed=seed + n)
+                for n in _parse_range(args.n_range)
+                for unsat in (False, True)
+            ]
+    except ValueError as e:
+        raise _InputError(e) from None
+    modes = (True, False) if args.both_modes else (not args.no_xor,)
+    tasks = [(cfg, mode, args.timeout, args.check) for cfg in cfgs for mode in modes]
     if not tasks:
         print("no instances")
         return 0
     # opened before any work, so a bad path costs no run
     with (open(args.report, "a") if args.report else contextlib.nullcontext()) as report:
-        if args.jobs > 1:
+        jobs = min(args.jobs, len(tasks))
+        if jobs > 1:
             from multiprocessing import Pool
 
-            with Pool(args.jobs) as pool:
+            with Pool(jobs) as pool:
                 reports = pool.map(_bench_task, tasks)
         else:
             reports = [_bench_task(t) for t in tasks]

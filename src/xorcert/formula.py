@@ -54,7 +54,8 @@ class ParityConstraint(namedtuple("ParityConstraint", "vars phase source_clauses
         sv = set(self.vars) ^ set(other.vars)
         return ParityConstraint(tuple(sorted(sv)), self.phase ^ other.phase)
 
-    def satisfied_by(self, assignment: dict[int, bool]) -> bool:
+    def satisfied_by(self, assignment) -> bool:
+        """assignment[v] is v's value: a dict, or a list indexed by variable."""
         acc = 0
         for v in self.vars:
             acc ^= 1 if assignment[v] else 0

@@ -24,11 +24,13 @@ flat lists, not dicts.  `lval[lit]` is True, False or None for every literal
 of the n variables; it has 2n+1 slots, so Python's negative indexing puts
 -v at slot 2n+1-v, disjoint from the slots 1..n of the positive literals
 (2n slots would alias -n with n).  `watches` has the same shape and holds
-the `_Clause` objects watching each literal.  `levels`, `reason_lits` and
-`reason_pid` are indexed by variable and are only meaningful while the
-variable is assigned; backtracking clears `lval` and leaves the rest stale.
-A `reason_pid` entry is a proof id, None (a decision, or no proof), or the
-parity engine's `ReasonRecord` while that reason is not yet justified.
+the `_Clause` objects watching each literal.  `levels` and `reason` are
+indexed by variable and are only meaningful while the variable is
+assigned; backtracking clears `lval` and leaves the rest stale.  A variable
+has one reason: None for a decision, the `_Clause` that implied it (input
+or learned, units included), or the parity engine's `ReasonRecord`, which
+conflict analysis justifies the first time it resolves on it.  Both kinds
+carry the implying clause as `.clause`.
 `is_col[v]` says whether v is a column of the parity engine, whose
 `on_assign` and `on_unassign` are called for those variables alone.
 
@@ -90,10 +92,10 @@ class SolveResult(NamedTuple):
 
 
 class _Clause:
-    __slots__ = ("lits", "w", "pid")
+    __slots__ = ("clause", "w", "pid")
 
     def __init__(self, lits, pid):
-        self.lits = tuple(lits)
+        self.clause = tuple(lits)
         self.w = list(lits)
         self.pid = pid
 
@@ -132,8 +134,7 @@ class Solver:
         # assignment state: lval by literal, the rest by variable
         self.lval: list[bool | None] = [None] * (2 * n + 1)
         self.levels: list[int] = [0] * (n + 1)
-        self.reason_lits: list[tuple | None] = [None] * (n + 1)
-        self.reason_pid: list[int | None] = [None] * (n + 1)
+        self.reason: list[_Clause | ReasonRecord | None] = [None] * (n + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
@@ -168,15 +169,14 @@ class Solver:
     def level(self) -> int:
         return len(self.trail_lim)
 
-    def _enqueue(self, lit, rlits, rpid):
+    def _enqueue(self, lit, reason):
         lval = self.lval
         assert lval[lit] is None
         lval[lit] = True
         lval[-lit] = False
         v = lit if lit > 0 else -lit
         self.levels[v] = len(self.trail_lim)
-        self.reason_lits[v] = rlits
-        self.reason_pid[v] = rpid
+        self.reason[v] = reason
         self.trail.append(lit)
 
     def _backtrack(self, lvl):
@@ -244,12 +244,6 @@ class Solver:
         for lit in cl.w[:2]:
             self.watches[lit].append(cl)
 
-    def _add_input_clauses(self):
-        for cid in range(1, self.f.num_clauses + 1):
-            lits = self.f.clause(cid)
-            if len(lits) >= 2:
-                self._attach(_Clause(lits, cid))
-
     # -- parity preparation --------------------------------------------------
 
     def _prepare_parity(self):
@@ -292,7 +286,7 @@ class Solver:
         if self.tb is None:
             from .tbdd import TbddEngine
 
-            self.tb = TbddEngine(self.order, self.writer, self.f.num_vars, self.deadline)
+            self.tb = TbddEngine(self.order, self.writer, self.f.num_vars, self._check_time)
         row = rec.row
         ent = self.row_sum.get(row)
         if ent is None or ent[0] != rec.origin:
@@ -314,8 +308,7 @@ class Solver:
         lval = self.lval
         watches = self.watches
         levels = self.levels
-        reason_lits = self.reason_lits
-        reason_pid = self.reason_pid
+        reason = self.reason
         lvl = len(self.trail_lim)
         while True:
             qhead = self.qhead
@@ -361,8 +354,7 @@ class Solver:
                         lval[-first] = False
                         v = first if first > 0 else -first
                         levels[v] = lvl
-                        reason_lits[v] = cl.lits
-                        reason_pid[v] = cl.pid
+                        reason[v] = cl
                         trail.append(first)
                 watches[falsified] = kept
                 if confl is not None:
@@ -370,7 +362,7 @@ class Solver:
             self.qhead = qhead
             self.propagations += props
             if confl is not None:
-                return confl.lits, confl.pid
+                return confl.clause, confl.pid
             if self.par is None or self.ghead >= len(trail):
                 return None
             is_col = self.is_col
@@ -389,15 +381,15 @@ class Solver:
 
     def _handle_record(self, rec):
         """Enqueue a parity record's implied literal with the record itself
-        as its reason (None without a proof), to be justified only if
-        conflict analysis resolves on it.  A record that conflicts with the
-        assignment is justified at once and returned as (clause, proof id);
-        one whose literal is already true is dropped."""
+        as its reason, to be justified only if conflict analysis resolves on
+        it.  A record that conflicts with the assignment is justified at
+        once and returned as (clause, proof id); one whose literal is
+        already true is dropped."""
         if rec.kind != CONFLICT:
             lit = rec.clause[0]
             val = self.lval[lit]
             if val is None:
-                self._enqueue(lit, rec.clause, rec if self.writer is not None else None)
+                self._enqueue(lit, rec)
                 return None
             if val:
                 return None
@@ -408,8 +400,7 @@ class Solver:
     def _analyze(self, confl_lits, confl_pid):
         trail = self.trail
         levels = self.levels
-        reason_lits = self.reason_lits
-        reason_pid = self.reason_pid
+        reason = self.reason
         bump = self._bump
         lvl = len(self.trail_lim)
         seen = set()
@@ -438,49 +429,49 @@ class Solver:
             if counter == 0:
                 uip = p
                 break
-            resolved.append((idx, reason_pid[v]))
-            cur = [q for q in reason_lits[v] if q != p]
+            resolved.append(idx)
+            cur = [q for q in reason[v].clause if q != p]
             idx -= 1
         tail.sort(key=lambda q: -levels[abs(q)])
         learned = (-uip,) + tuple(tail)
         bj = levels[abs(tail[0])] if tail else 0
-        resolved.sort()
-        # a parity reason is justified the first time it is resolved on
-        justify = self._justify
-        hints = [justify(r) if r.__class__ is ReasonRecord else r for _, r in resolved]
-        hints.append(confl_pid)
-        return learned, bj, hints
+        return learned, bj, self._hints(resolved, confl_pid)
 
     def _derive_empty(self, confl_lits, confl_pid):
         """Top-level conflict: emit the empty clause hinted by the reasons
-        of the conflict's transitive support, in trail order."""
+        of the conflict's transitive support."""
         if self.writer is None:
             return
+        trail, reason = self.trail, self.reason
         need = {abs(q) for q in confl_lits}
         picked = []
-        for idx in range(len(self.trail) - 1, -1, -1):
-            v = abs(self.trail[idx])
-            if v not in need:
-                continue
-            rl = self.reason_lits[v]
-            assert rl is not None, "top-level literals always carry reasons"
-            picked.append((idx, self.reason_pid[v]))
-            need.update(abs(q) for q in rl)
-        picked.sort()
-        justify = self._justify
-        hints = [justify(r) if r.__class__ is ReasonRecord else r for _, r in picked]
+        for idx in range(len(trail) - 1, -1, -1):
+            v = abs(trail[idx])
+            if v in need:
+                picked.append(idx)
+                need.update(abs(q) for q in reason[v].clause)
+        self.writer.add((), self._hints(picked, confl_pid))
+
+    def _hints(self, idxs, confl_pid):
+        """Hints of a resolution over the reasons of the trail entries at
+        `idxs`: their proof ids in trail order, each parity reason justified
+        the first time it is resolved on, then the conflict's id."""
+        trail, reason, justify = self.trail, self.reason, self._justify
+        hints = []
+        for idx in sorted(idxs):
+            r = reason[abs(trail[idx])]
+            hints.append(r.pid if r.__class__ is _Clause else justify(r))
         hints.append(confl_pid)
-        self.writer.add((), hints)
+        return hints
 
     def _learn(self, learned, hints):
-        pid = None
-        if self.writer is not None:
-            pid = self.writer.add(learned, hints)
+        """Write the learned clause; return it as a `_Clause`, watched unless a unit."""
+        pid = self.writer.add(learned, hints) if self.writer is not None else None
         self.learned_count += 1
-        if len(learned) == 1:
-            return learned[0], learned, pid
-        self._attach(_Clause(learned, pid))
-        return learned[0], learned, pid
+        cl = _Clause(learned, pid)
+        if len(learned) > 1:
+            self._attach(cl)
+        return cl
 
     # -- top level -----------------------------------------------------------
 
@@ -489,25 +480,20 @@ class Solver:
             raise DeadlineExceeded("deadline passed")
 
     def _init_constraints(self):
-        """Level-0 setup: input units, empty input clauses, parity rows that
-        are already empty or unit.  Returns UNSAT when refutation closes."""
+        """Level-0 setup in one scan of the input clauses: watch each clause
+        of two or more literals, enqueue each unit, and close on an empty
+        clause or a complementary unit.  Then the parity rows that are
+        already empty or unit.  Returns UNSAT when refutation closes."""
         for cid in range(1, self.f.num_clauses + 1):
-            lits = self.f.clause(cid)
-            if not lits:
-                if self.writer is not None:
-                    self.writer.add((), [cid])
+            cl = _Clause(self.f.clause(cid), cid)
+            lits = cl.clause
+            if len(lits) >= 2:
+                self._attach(cl)
+            elif not lits or self.lval[lits[0]] is False:
+                self._derive_empty(lits, cid)
                 return UNSAT
-        for cid in range(1, self.f.num_clauses + 1):
-            lits = self.f.clause(cid)
-            if len(lits) == 1:
-                lit = lits[0]
-                val = self.lval[lit]
-                if val is False:
-                    if self.writer is not None:
-                        self._derive_empty(lits, cid)
-                    return UNSAT
-                if val is None:
-                    self._enqueue(lit, lits, cid)
+            elif self.lval[lits[0]] is None:
+                self._enqueue(lits[0], cl)
         if self.par is not None:
             for rec in self.par.start_watches():
                 confl = self._handle_record(rec)
@@ -521,15 +507,14 @@ class Solver:
 
     def _verify_model(self):
         lval = self.lval
-        asg = {v: lval[v] for v in range(1, self.f.num_vars + 1) if lval[v] is not None}
         # raised, not asserted, so that `python -O` keeps the check
         for cid in range(1, self.f.num_clauses + 1):
             if not any(lval[l] for l in self.f.clause(cid)):
                 raise AssertionError(f"model misses clause {cid}")
         for con in self.xors:
-            if not con.satisfied_by(asg):
+            if not con.satisfied_by(lval):
                 raise AssertionError(f"model violates recovered constraint {con}")
-        return sorted((v if asg[v] else -v) for v in range(1, self.f.num_vars + 1))
+        return sorted((v if lval[v] else -v) for v in range(1, self.f.num_vars + 1))
 
     def _search(self):
         while True:
@@ -543,9 +528,9 @@ class Solver:
                     self._derive_empty(lits, pid)
                     return UNSAT
                 learned, bj, hints = self._analyze(lits, pid)
-                asserting, rlits, rpid = self._learn(learned, hints)
+                cl = self._learn(learned, hints)
                 self._backtrack(bj)
-                self._enqueue(asserting, rlits, rpid)
+                self._enqueue(cl.clause[0], cl)
                 self._check_time()
                 continue
             self._check_time()
@@ -562,7 +547,7 @@ class Solver:
                 return SAT
             self.decisions += 1
             self.trail_lim.append(len(self.trail))
-            self._enqueue(lit, None, None)
+            self._enqueue(lit, None)
 
     def solve(self) -> SolveResult:
         t0 = time.monotonic()
@@ -572,7 +557,6 @@ class Solver:
         stop = "done"
         model = None
         try:
-            self._add_input_clauses()
             if self.use_xor:
                 self._prepare_parity()
             self.conflicts_cur = 0

@@ -21,12 +21,11 @@ directly.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
 
 from .bdd import _LEVEL_TERM, T0, T1, TRUE_SENTINEL, Bdd
 from .formula import ParityConstraint
-from .lrat import DeadlineExceeded
+from .lrat import DeadlineExceeded  # re-exported: what check_time raises
 
 # slots of a node's defining clauses in TbddEngine.defs
 HD, LD, HU, LU = 0, 1, 2, 3
@@ -76,12 +75,12 @@ class Tbdd:
 
 
 class TbddEngine:
-    def __init__(self, order, writer, num_input_vars: int, deadline: float | None = None):
-        """deadline: `time.monotonic()` value after which `greedy_sum`
-        raises DeadlineExceeded before its next sum; None for no limit."""
+    def __init__(self, order, writer, num_input_vars: int, check_time=None):
+        """check_time, if given, is called before each sum of `greedy_sum`
+        and raises DeadlineExceeded once the deadline has passed."""
         self.writer = writer
         self.num_input_vars = num_input_vars
-        self.deadline = deadline
+        self.check_time = check_time
         # node -> its (id, clause) defining steps by slot HD, LD, HU, LU;
         # None where the clause is a tautology
         self.defs: dict[int, tuple] = {}
@@ -426,7 +425,6 @@ class TbddEngine:
         assert tbdds
         items: dict[int, Tbdd] = dict(enumerate(tbdds))
         sup = {i: frozenset(t.constraint.vars) for i, t in items.items()}
-        owned = set()
         holders: dict[int, set[int]] = {}
         for i, vs in sup.items():
             for x in vs:
@@ -437,10 +435,10 @@ class TbddEngine:
                 if j > i:
                     heap.append((len(vs ^ sup[j]), i, j))
         heapq.heapify(heap)
-        next_pos = len(tbdds)
+        next_pos = first_sum = len(tbdds)  # sums, the items to drop, sit from here on
         while len(items) > 1:
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise DeadlineExceeded("deadline passed during a parity sum")
+            if self.check_time is not None:
+                self.check_time()
             while heap and (heap[0][1] not in items or heap[0][2] not in items):
                 heapq.heappop(heap)
             if heap:
@@ -452,13 +450,13 @@ class TbddEngine:
                 t = items.pop(k)
                 for x in sup.pop(k):
                     holders[x].discard(k)
-                if k in owned:
+                if k >= first_sum:
                     self.drop(t)
             if s.root == T0:
                 # contradiction already yields the empty clause; summing
                 # further would append past it
                 for k, t in items.items():
-                    if k in owned:
+                    if k >= first_sum:
                         self.drop(t)
                 self.flush_deletes()
                 return s
@@ -470,7 +468,6 @@ class TbddEngine:
             for x in vs:
                 holders[x].add(pos)
             items[pos] = s
-            owned.add(pos)
             self.maybe_collect()
         (_, last), = items.items()
         return last

@@ -218,7 +218,6 @@ def test_criterion_8_justification_and_gc_replay():
     f2 = CnfFormula(3, clauses)
     sink2 = StringIO()
     s2 = Solver(f2, proof_sink=sink2)
-    s2._add_input_clauses()
     s2._prepare_parity()
     rec = next(r for r in s2.par.propagate({1: True}) if r.row == 0)
     s2._justify(rec)

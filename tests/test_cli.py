@@ -209,6 +209,23 @@ class TestBadOptionValues:
         err = self.one_error(capsys, ["solve", cnf, "--max-proof-clauses", value])
         assert "--max-proof-clauses" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["urq", "--m-range", "3:3", "-p", "10"], "p must lie in [25, 75]"),
+        (["lpn", "--n-range", "2:3"], "n must be at least 4"),
+    ], ids=["urq-p", "lpn-n"])
+    def test_bench_generator_limits(self, tmp_path, capsys, monkeypatch, argv, message):
+        # checked before any task runs or any report line is written
+        monkeypatch.setattr(cli, "_bench_task", lambda task: pytest.fail("task ran"))
+        rep = tmp_path / "bench.jsonl"
+        err = self.one_error(capsys, ["bench", *argv, "--report", str(rep)])
+        assert err == f"error: {message}\n"
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_bench_jobs_below_one(self, capsys, value):
+        err = self.one_error(capsys, ["bench", "urq", "--m-range", "3:3", "--jobs", value])
+        assert "--jobs" in err
+
     def test_non_integer_seed_env(self, capsys, monkeypatch):
         monkeypatch.setenv("XORCERT_SEED", "abc")
         err = self.one_error(capsys, ["gen", "urquhart", "-m", "3"])
@@ -330,8 +347,8 @@ OPTIMIZED_FAILURES = {
         "from xorcert import cli\n"
         "from xorcert.solver import SAT, Solver\n"
         "def search(self):\n"
-        "    self._enqueue(-1, None, None)\n"
-        "    self._enqueue(-2, None, None)\n"
+        "    self._enqueue(-1, None)\n"
+        "    self._enqueue(-2, None)\n"
         "    return SAT\n"
         "Solver._search = search\n"
         "sys.exit(cli.main(sys.argv[1:]))\n",
@@ -552,6 +569,33 @@ class TestBench:
         assert rows["1"] == rows["2"]
         assert [r[0] for r in rows["1"]] == ["urq-m3-s8", "urq-m4-s9"]
         assert all(r[2] == "UNSAT" and r[4] is True for r in rows["1"])
+
+    @pytest.mark.parametrize("m_range, tasks, pool_sizes", [("3:3", 1, []), ("3:4", 2, [2])],
+                             ids=["one-task", "two-tasks"])
+    def test_pool_capped_at_task_count(self, capsys, monkeypatch, m_range, tasks, pool_sizes):
+        # --jobs 8 starts no more workers than there are tasks, and one task
+        # runs in this process
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(t) for t in items]
+
+        monkeypatch.setattr("multiprocessing.Pool", InProcessPool)
+        rc = cli.main(["bench", "urq", "--m-range", m_range, "--seed", "5",
+                       "--timeout", "30", "--no-check", "--jobs", "8"])
+        assert rc == 0
+        assert sizes == pool_sizes
+        assert capsys.readouterr().out.count("urq-m") == tasks
 
     def test_empty_suite_is_ok(self, capsys):
         assert cli.main(["bench", "urq", "--m-range", "5:4"]) == 0

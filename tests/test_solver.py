@@ -375,7 +375,6 @@ class TestRowModificationInvalidatesJustificationCache:
         f = CnfFormula(3, clauses)
         sink = StringIO()
         s = Solver(f, proof_sink=sink)
-        s._add_input_clauses()
         s._prepare_parity()
         return f, s, sink
 
@@ -458,6 +457,30 @@ class TestLazyJustification:
         assert any(kind == gauss.PROPAGATION and first_use[pid].lits
                    for pid, kind in kinds.items())
 
+    def test_every_reason_implies_its_literal(self):
+        # at each conflict, a decision has no reason and any other assigned
+        # literal's reason, clause or parity record, is a clause holding
+        # the literal with every other literal false
+        kinds = set()
+
+        class Checking(Solver):
+            def _analyze(self, confl_lits, confl_pid):
+                lval = self.lval
+                decisions = {self.trail[i] for i in self.trail_lim}
+                for lit in self.trail:
+                    r = self.reason[abs(lit)]
+                    assert (r is None) == (lit in decisions)
+                    if r is not None:
+                        kinds.add(type(r))
+                        assert lit in r.clause
+                        assert all(lval[q] is False for q in r.clause if q != lit)
+                return super()._analyze(confl_lits, confl_pid)
+
+        inst = gen_lpn(LpnConfig(n=6, bound_offset=True, seed=8))
+        r = Checking(inst.formula, proof_sink=StringIO()).solve()
+        assert r.status == UNSAT and r.conflicts > 0 and r.justifications > 0
+        assert kinds == {solver._Clause, ReasonRecord}
+
     @pytest.mark.parametrize("stop", ["timeout", "proof-budget"])
     def test_limit_inside_a_lazy_justification(self, stop):
         class Expiring(Solver):
@@ -472,7 +495,7 @@ class TestLazyJustification:
                     # BDD: either limit runs out during its justification
                     self.expired = True
                     if stop == "timeout":
-                        self.deadline = self.tb.deadline = 0.0
+                        self.deadline = 0.0
                     else:
                         self.writer.max_clauses = self.writer.adds
                 return super()._justify(rec)
