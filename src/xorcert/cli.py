@@ -20,17 +20,18 @@ import os
 import sys
 import time
 
-from .formula import DimacsError, extract_xors, parse_dimacs, write_dimacs
+from .formula import extract_xors, parse_dimacs, write_dimacs
 from .lrat import DEFAULT_MAX_PROOF_CLAUSES, check, iter_proof
 
 BENCH_TIMEOUT = 10.0
 ERROR = "ERROR"
 
 
-class _InputError(Exception):
+class _InputError(ValueError):
     """Unusable input: `main` prints `error: <message>` and exits 1, as it
-    does for a malformed or undecodable DIMACS file and for an OSError such
-    as an unreadable input or an unwritable output path."""
+    does for every ValueError (a malformed or undecodable DIMACS file or
+    proof, out-of-range generator settings) and every OSError (an
+    unreadable input or an unwritable output path)."""
 
 
 def _env_seed() -> int:
@@ -74,31 +75,16 @@ def _out(path, text):
 
 
 def run_report(name: str, res, timeout, mode: str) -> dict:
+    """Every SolveResult field but the model, `elapsed` as `wall_time`."""
     from .solver import SAT, UNSAT
 
-    par2 = None
+    rep = {"instance": name, "mode": mode, **res._asdict()}
+    del rep["model"]
+    rep["wall_time"] = round(rep.pop("elapsed"), 6)
+    rep["par2"] = None
     if timeout is not None:
-        par2 = round(res.elapsed if res.status in (SAT, UNSAT) else 2.0 * timeout, 6)
-    return {
-        "instance": name,
-        "mode": mode,
-        "status": res.status,
-        "wall_time": round(res.elapsed, 6),
-        "conflicts": res.conflicts,
-        "decisions": res.decisions,
-        "propagations": res.propagations,
-        "parity_propagations": res.parity_propagations,
-        "restarts": res.restarts,
-        "num_xors": res.num_xors,
-        "proof_adds": res.proof_adds,
-        "proof_deletes": res.proof_deletes,
-        "ext_vars": res.ext_vars,
-        "peak_bdd_nodes": res.peak_bdd_nodes,
-        "gc_collections": res.gc_collections,
-        "justifications": res.justifications,
-        "stop_reason": res.stop_reason,
-        "par2": par2,
-    }
+        rep["par2"] = round(res.elapsed if res.status in (SAT, UNSAT) else 2.0 * timeout, 6)
+    return rep
 
 
 # -- solve ------------------------------------------------------------------
@@ -184,11 +170,8 @@ def cmd_check(args) -> int:
     # line that is not all integers is decoded, so a decoding error names
     # its line
     f = _read_cnf(args.cnf)
-    try:
-        with open(args.proof, "rb") as fh:
-            res = check(f, iter_proof(fh), refutation=not args.derivation)
-    except ValueError as e:
-        raise _InputError(e) from None
+    with open(args.proof, "rb") as fh:
+        res = check(f, iter_proof(fh), refutation=not args.derivation)
     if res.ok:
         print(
             f"Verified: {res.steps} steps "
@@ -207,21 +190,18 @@ def cmd_gen(args) -> int:
     from .benchgen import LpnConfig, UrqConfig, gen_lpn, gen_urquhart
 
     seed = args.seed if args.seed is not None else _env_seed()
-    try:
-        if args.family == "urquhart":
-            inst = gen_urquhart(UrqConfig(m=args.m, p=args.p, seed=seed, parity=args.parity))
-        else:
-            inst = gen_lpn(
-                LpnConfig(
-                    n=args.n,
-                    m=args.m,
-                    corrupt_prob=args.corrupt_prob,
-                    bound_offset=args.unsat,
-                    seed=seed,
-                )
+    if args.family == "urquhart":
+        inst = gen_urquhart(UrqConfig(m=args.m, p=args.p, seed=seed, parity=args.parity))
+    else:
+        inst = gen_lpn(
+            LpnConfig(
+                n=args.n,
+                m=args.m,
+                corrupt_prob=args.corrupt_prob,
+                bound_offset=args.unsat,
+                seed=seed,
             )
-    except ValueError as e:
-        raise _InputError(e) from None
+        )
     _out(args.output, write_dimacs(inst.formula))
     if args.manifest:
         _out(args.manifest, "\n".join(inst.manifest_lines()) + "\n")
@@ -290,17 +270,14 @@ def cmd_bench(args) -> int:
         raise _InputError(f"--jobs must be at least 1, not {args.jobs}")
     seed = args.seed if args.seed is not None else _env_seed()
     # every config is built, and so checked, before any task runs
-    try:
-        if args.family == "urq":
-            cfgs = [UrqConfig(m=m, p=args.p, seed=seed + m) for m in _parse_range(args.m_range)]
-        else:
-            cfgs = [
-                LpnConfig(n=n, bound_offset=unsat, seed=seed + n)
-                for n in _parse_range(args.n_range)
-                for unsat in (False, True)
-            ]
-    except ValueError as e:
-        raise _InputError(e) from None
+    if args.family == "urq":
+        cfgs = [UrqConfig(m=m, p=args.p, seed=seed + m) for m in _parse_range(args.m_range)]
+    else:
+        cfgs = [
+            LpnConfig(n=n, bound_offset=unsat, seed=seed + n)
+            for n in _parse_range(args.n_range)
+            for unsat in (False, True)
+        ]
     modes = (True, False) if args.both_modes else (not args.no_xor,)
     tasks = [(cfg, mode, args.timeout, args.check) for cfg in cfgs for mode in modes]
     if not tasks:
@@ -378,7 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-xor", action="store_true", help="disable parity reasoning")
     sp.add_argument("--max-proof-clauses", type=int, default=DEFAULT_MAX_PROOF_CLAUSES)
     sp.add_argument("--timeout", type=float, default=None)
-    sp.add_argument("--var-order", help="file with a variable permutation")
+    sp.add_argument(
+        "--var-order",
+        help="file with a variable permutation: the BDD variable order and the "
+        "Gauss-Jordan column order (decisions still go by activity)",
+    )
     sp.add_argument("--report", help="append a JSON-lines run report here")
     sp.set_defaults(fn=cmd_solve)
 
@@ -453,7 +434,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (_InputError, OSError, DimacsError, UnicodeDecodeError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -13,8 +13,11 @@ the assigned columns and the True ones.  A row's free columns are then
 `row & ~assigned` and its parity `phase ^ popcount(row & true)`.
 Propagation is incremental: each live row watches two unassigned columns,
 listed per column, so only rows watching a newly assigned column are
-examined.  A full-scan `propagate` over an explicit assignment, which reads
-no engine state, is kept alongside as the slow reference path.
+examined.  `on_assign` only adds to the two bit sets: the search that owns
+the engine undoes assignments by restoring a pair it saved, and, as with
+two watched literals per clause, the watches need no undo.  A full-scan
+`propagate` over an explicit assignment, which reads no engine state, is
+kept alongside as the slow reference path.
 """
 
 from __future__ import annotations
@@ -30,16 +33,18 @@ class ReasonRecord(NamedTuple):
 
     For a propagation the implied literal comes first, followed by the
     complements of the row's assigned literals; a conflict clause is all
-    complements.  `origin` names the initial constraints summing to the row.
+    complements.  `origin` is the row's shadow when the record was made:
+    bit i set when initial constraint i is in the sum that gives the row.
     """
 
     clause: tuple[int, ...]
-    origin: tuple[int, ...]
+    origin: int
     kind: str
     row: int
 
 
-def _bits(mask: int):
+def bits(mask: int):
+    """The positions of the set bits of `mask`, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -72,7 +77,7 @@ class ParityEngine:
             self.rows.append(m)
             self.phases.append(p.phase)
             self.shadow.append(1 << i)
-            for c in _bits(m):
+            for c in bits(m):
                 self.col_rows[c] |= 1 << i
         self.pivot_of_row: dict[int, int] = {}
         # propagation state: bit sets of the assigned and of the True
@@ -84,9 +89,6 @@ class ParityEngine:
 
     # -- row algebra ---------------------------------------------------------
 
-    def origin_of(self, r: int) -> tuple[int, ...]:
-        return tuple(_bits(self.shadow[r]))
-
     def add_row_into(self, src: int, dst: int):
         assert src != dst, "a row is never summed into itself"
         self._add_row_into_set(src, 1 << dst)
@@ -96,7 +98,7 @@ class ParityEngine:
         index takes one update per column of `src`, not one per row."""
         m, ph, sh = self.rows[src], self.phases[src], self.shadow[src]
         rows, phases, shadow = self.rows, self.phases, self.shadow
-        for r in _bits(dsts):
+        for r in bits(dsts):
             rows[r] ^= m
             phases[r] ^= ph
             shadow[r] ^= sh
@@ -139,13 +141,13 @@ class ParityEngine:
         m = self.rows[r]
         var_of_col = self.var_of_col
         lits = [-var_of_col[c] if true >> c & 1 else var_of_col[c]
-                for c in _bits(m) if c != implied_col]
+                for c in bits(m) if c != implied_col]
         kind = CONFLICT
         if implied_col is not None:
             kind = PROPAGATION
             v = var_of_col[implied_col]
             lits.insert(0, v if (self.phases[r] ^ (m & true).bit_count()) & 1 else -v)
-        return ReasonRecord(tuple(lits), self.origin_of(r), kind, r)
+        return ReasonRecord(tuple(lits), self.shadow[r], kind, r)
 
     def start_watches(self) -> list[ReasonRecord]:
         """Install watches on every live row; returns the records already
@@ -154,7 +156,7 @@ class ParityEngine:
         for r, m in enumerate(self.rows):
             if not m:
                 if self.phases[r]:
-                    out.append(ReasonRecord((), self.origin_of(r), CONFLICT, r))
+                    out.append(ReasonRecord((), self.shadow[r], CONFLICT, r))
                 continue
             rest = m & (m - 1)
             a = (m ^ rest).bit_length() - 1
@@ -194,12 +196,6 @@ class ParityEngine:
                 out.append(self._row_record(r, None, true))
         watching[c_hit] = kept
         return out
-
-    def on_unassign(self, var: int):
-        c = self.col_of.get(var)
-        if c is not None:
-            self.assigned &= ~(1 << c)
-            self.true &= ~(1 << c)
 
     # -- reference path ------------------------------------------------------
 

@@ -32,7 +32,11 @@ or learned, units included), or the parity engine's `ReasonRecord`, which
 conflict analysis justifies the first time it resolves on it.  Both kinds
 carry the implying clause as `.clause`.
 `is_col[v]` says whether v is a column of the parity engine, whose
-`on_assign` and `on_unassign` are called for those variables alone.
+`on_assign` is called for those variables alone, in trail order up to
+`ghead`.  A decision is taken only at a joint fixpoint, where `ghead` is
+the trail's length, so the engine's `assigned` and `true` bit sets saved
+in `par_lim` beside each `trail_lim` entry are its view of the trail below
+that level; `_backtrack` restores them in one step.
 
 The decision heap holds (-activity, v) entries, and every free variable has
 one carrying its current key, so the smallest entry of a free variable names
@@ -50,7 +54,7 @@ import time
 from typing import NamedTuple
 
 from .formula import CnfFormula, extract_xors
-from .gauss import CONFLICT, ParityEngine, ReasonRecord
+from .gauss import CONFLICT, ParityEngine, ReasonRecord, bits
 from .lrat import DEFAULT_MAX_PROOF_CLAUSES, DeadlineExceeded, ProofLimitExceeded, ProofWriter
 
 SAT = "SAT"
@@ -77,7 +81,7 @@ class SolveResult(NamedTuple):
     conflicts: int = 0
     decisions: int = 0
     propagations: int = 0
-    parity_propagations: int = 0
+    parity_propagations: int = 0  # parity records handed over, literal already true or not
     restarts: int = 0
     learned: int = 0
     num_xors: int = 0
@@ -137,6 +141,7 @@ class Solver:
         self.reason: list[_Clause | ReasonRecord | None] = [None] * (n + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
+        self.par_lim: list[tuple[int, int]] = []  # parity engine bit sets per level
         self.qhead = 0
         self.ghead = 0
         # clause store: a clause of two or more literals lives in the watch
@@ -186,25 +191,22 @@ class Solver:
         activity = self.activity
         heap = self.heap
         queued = self.queued
-        is_col = self.is_col
-        par = self.par
-        ghead = self.ghead
         keep = self.trail_lim[lvl]
         for idx in range(len(trail) - 1, keep - 1, -1):
             lit = trail[idx]
             v = lit if lit > 0 else -lit
             saved_phase[v] = lit > 0
             lval[lit] = lval[-lit] = None
-            if is_col[v] and idx < ghead:
-                par.on_unassign(v)
             key = -activity[v]
             if queued[v] != key:
                 queued[v] = key
                 heapq.heappush(heap, (key, v))
         del trail[keep:]
         del self.trail_lim[lvl:]
-        self.qhead = len(trail)
-        self.ghead = min(ghead, len(trail))
+        if self.par is not None:
+            self.par.assigned, self.par.true = self.par_lim[lvl]
+            del self.par_lim[lvl:]
+        self.qhead = self.ghead = keep
         if len(heap) > 2 * len(queued):
             self._rebuild_heap()
 
@@ -275,9 +277,10 @@ class Solver:
     def _justify(self, rec):
         """Proof id of a step deriving rec.clause (None without a proof).
         A justified clause's step is never deleted, so its id is cached by
-        clause.  A row's sum is rebuilt when its origin changes.  The BDD
-        layer is built by the first call that needs a proof, so a solve
-        that justifies nothing loads no BDD module."""
+        clause.  A row's sum is rebuilt when its origin, the row's shadow
+        bit set, changes.  The BDD layer is built by the first call that
+        needs a proof, so a solve that justifies nothing loads no BDD
+        module."""
         if self.writer is None:
             return None
         pid = self.justified.get(rec.clause)
@@ -290,9 +293,9 @@ class Solver:
         row = rec.row
         ent = self.row_sum.get(row)
         if ent is None or ent[0] != rec.origin:
-            if ent is not None and len(ent[0]) > 1:  # else an input's own Tbdd
+            if ent is not None and ent[0] & (ent[0] - 1):  # else an input's own Tbdd
                 self.tb.drop(ent[1])
-            summed = self.tb.greedy_sum([self._xor_tbdd(i) for i in rec.origin])
+            summed = self.tb.greedy_sum([self._xor_tbdd(i) for i in bits(rec.origin)])
             ent = self.row_sum[row] = (rec.origin, summed)
         pid = self.justified[rec.clause] = self.tb.tbdd_justify_clause(ent[1], rec.clause)
         self.tb.maybe_collect()
@@ -547,6 +550,8 @@ class Solver:
                 return SAT
             self.decisions += 1
             self.trail_lim.append(len(self.trail))
+            if self.par is not None:
+                self.par_lim.append((self.par.assigned, self.par.true))
             self._enqueue(lit, None)
 
     def solve(self) -> SolveResult:

@@ -10,6 +10,8 @@ import random
 import time
 from io import StringIO
 
+import pytest
+
 from xorcert import cli
 from xorcert.bdd import Bdd
 from xorcert.benchgen import (
@@ -232,6 +234,7 @@ def test_criterion_8_justification_and_gc_replay():
                   f"with {v2.deletes} deletes")
 
 
+@pytest.mark.slow  # about a minute
 def test_criterion_6_lpn_cross_validation():
     t0 = time.perf_counter()
     unsat_verified = 0
@@ -348,6 +351,7 @@ def test_criterion_7_proof_robustness():
                   f"over {len(corpus)} proofs, {dt:.1f} s")
 
 
+@pytest.mark.slow  # waits out a 300 s timeout
 def test_criterion_4b_clausal_mode_hits_timeout(tmp_path, capsys):
     # the honest half of the speedup claim: without parity reasoning one
     # mid-size instance must still be running at the 300 s mark

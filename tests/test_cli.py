@@ -508,10 +508,25 @@ class TestCheckCommand:
 class TestRunReport:
     FIELDS = {
         "instance", "mode", "status", "wall_time", "conflicts", "decisions",
-        "propagations", "parity_propagations", "restarts", "num_xors",
+        "propagations", "parity_propagations", "restarts", "learned", "num_xors",
         "proof_adds", "proof_deletes", "ext_vars", "peak_bdd_nodes",
         "gc_collections", "justifications", "stop_reason", "par2",
     }
+
+    def test_report_keys_are_the_solve_result_fields(self, tmp_path):
+        from xorcert.solver import SolveResult
+
+        # every field but the model, `elapsed` written as `wall_time`
+        want = {"wall_time" if f == "elapsed" else f
+                for f in SolveResult._fields if f != "model"}
+        want |= {"instance", "mode", "par2"}
+        cnf = str(tmp_path / "u.cnf")
+        rep = tmp_path / "rep.jsonl"
+        cli.main(["gen", "urquhart", "-m", "3", "--seed", "7", "-o", cnf])
+        assert cli.main(["solve", cnf, "--timeout", "60", "--report", str(rep)]) == 20
+        row = json.loads(rep.read_text())
+        assert set(row) == want
+        assert row["learned"] == 0 and row["par2"] == row["wall_time"]
 
     def test_report_fields_present(self, tmp_path):
         cnf = str(tmp_path / "u.cnf")

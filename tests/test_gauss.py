@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xorcert.formula import ParityConstraint
-from xorcert.gauss import CONFLICT, PROPAGATION, ParityEngine, ReasonRecord
+from xorcert.gauss import CONFLICT, PROPAGATION, ParityEngine, ReasonRecord, bits
 
 
 def small_system(rng, nvars=6, nrows=6, allow_empty=False):
@@ -26,10 +26,15 @@ def row_constraint(eng, r):
     return ParityConstraint(vs, eng.phases[r])
 
 
+def origin_of(eng, r):
+    """The initial constraints summing to row r, as shadow row r names them."""
+    return tuple(bits(eng.shadow[r]))
+
+
 def semantic_row(eng, r):
     """Fold the initial constraints named by the shadow row."""
     acc = ParityConstraint((), 0)
-    for i in eng.origin_of(r):
+    for i in origin_of(eng, r):
         acc = acc.combine(eng.constraints[i])
     return acc
 
@@ -67,9 +72,9 @@ class TestWorkedExample:
     def test_origin_of_after_elimination(self):
         eng = ParityEngine(self.CONS, column_vars=[1, 2, 3])
         eng.eliminate_column(0, 0)
-        assert eng.origin_of(0) == (0,)
-        assert eng.origin_of(1) == (0, 1)
-        assert eng.origin_of(2) == (0, 2)
+        assert origin_of(eng, 0) == (0,)
+        assert origin_of(eng, 1) == (0, 1)
+        assert origin_of(eng, 2) == (0, 2)
 
 
 class TestRowAlgebra:
@@ -98,7 +103,7 @@ class TestRowAlgebra:
         now = state()
         assert (now[0], now[2]) == (base[0], base[2])
         assert row_constraint(eng, 1) == ParityConstraint((2, 3), 1)
-        assert eng.origin_of(1) == (0, 1)
+        assert origin_of(eng, 1) == (0, 1)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -236,7 +241,7 @@ class TestFullScanPropagate:
     def test_unit_row_propagates_with_no_premises(self):
         eng = ParityEngine([ParityConstraint((3,), 1)])
         recs = eng.propagate({})
-        assert recs == [ReasonRecord((3,), (0,), PROPAGATION, 0)]
+        assert recs == [ReasonRecord((3,), 0b1, PROPAGATION, 0)]
 
 
 def run_watch(cons, order, decisions):
@@ -331,10 +336,14 @@ class TestWatchedPath:
         forced = {abs(r.clause[0]): r.clause[0] > 0 for r in init}
         trail = []
         asg = {}
+        # the engine's bit sets before each push, restored to undo it, as
+        # the solver restores them per decision level
+        saved = []
 
         def push(v, val):
             trail.append(v)
             asg[v] = val
+            saved.append((eng.assigned, eng.true))
             return eng.on_assign(v, val)
 
         for v, val in forced.items():
@@ -344,10 +353,10 @@ class TestWatchedPath:
             free = [v for v in range(1, nvars + 1) if v not in asg]
             if trail and (not free or rng.random() < 0.35):
                 cut = rng.randrange(len(trail))
-                while len(trail) > cut:
-                    v = trail.pop()
+                eng.assigned, eng.true = saved[cut]
+                for v in trail[cut:]:
                     del asg[v]
-                    eng.on_unassign(v)
+                del trail[cut:], saved[cut:]
                 continue
             if not free:
                 break
@@ -373,7 +382,7 @@ class TestStartWatches:
     def test_empty_false_row_conflicts_immediately(self):
         eng = ParityEngine([ParityConstraint((), 1)])
         recs = eng.start_watches()
-        assert recs == [ReasonRecord((), (0,), CONFLICT, 0)]
+        assert recs == [ReasonRecord((), 0b1, CONFLICT, 0)]
 
     def test_empty_true_row_is_inert(self):
         eng = ParityEngine([ParityConstraint((), 0)])

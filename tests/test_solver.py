@@ -400,6 +400,41 @@ class TestRowModificationInvalidatesJustificationCache:
         assert res.deletes > 0, "retired row sum must be deleted from the proof"
 
 
+class TestParityUndoPerLevel:
+    """`_backtrack` undoes the parity engine's assignment by restoring the
+    bit sets saved when the level's decision was taken."""
+
+    @pytest.mark.parametrize("n, seed", [(6, 8), (14, 77)])
+    def test_bit_sets_match_the_trail_at_every_backtrack(self, n, seed):
+        class Checked(Solver):
+            backtracks = 0
+
+            def assert_engine_follows_trail(self):
+                # the bit sets rebuilt from the column literals of trail[:ghead]
+                assigned = true = 0
+                for lit in self.trail[:self.ghead]:
+                    c = self.par.col_of.get(abs(lit))
+                    if c is not None:
+                        assigned |= 1 << c
+                        true |= (lit > 0) << c
+                assert (self.par.assigned, self.par.true) == (assigned, true)
+
+            def _backtrack(self, lvl):
+                self.assert_engine_follows_trail()
+                super()._backtrack(lvl)
+                assert self.ghead == self.qhead == len(self.trail)
+                self.assert_engine_follows_trail()
+                self.backtracks += 1
+
+        # the default order, in which lpn n=14 seed 77 justifies parity reasons
+        inst = gen_lpn(LpnConfig(n=n, bound_offset=True, seed=seed))
+        s = Checked(inst.formula, proof_sink=StringIO())
+        r = s.solve()
+        assert r.status == UNSAT and r.parity_propagations > 0
+        # every conflict but the last, at level 0, backjumps; so does each restart
+        assert s.backtracks == r.conflicts - 1 + r.restarts > 0
+
+
 class TestLazyJustification:
     """A parity record that implies a literal is its reason unjustified;
     conflict analysis justifies it the first time it resolves on it."""
@@ -490,7 +525,7 @@ class TestLazyJustification:
                 # a lazy reason's implied literal is true, an eager one's false
                 lazy = rec.kind == gauss.PROPAGATION and self.lval[rec.clause[0]]
                 if lazy and not self.expired and any(
-                        self.xor_tbdds[i] is None for i in rec.origin):
+                        self.xor_tbdds[i] is None for i in gauss.bits(rec.origin)):
                     # the first lazy reason whose sum needs an unbuilt XOR
                     # BDD: either limit runs out during its justification
                     self.expired = True
