@@ -14,8 +14,10 @@ literal's reason as it stands, and only when conflict analysis resolves on
 the literal is the record justified.  The engine's shadow matrix names the
 initial constraints summing to the row, those constraints' trusted BDDs
 (each proved from its encoding clauses the first time a sum needs it) are
-summed (cached per row until the row's origin changes), and the reason
-clause is emitted with a single hinted step before the step that hints it.
+summed (cached per row until the row's origin changes; the sum of a zero
+row with odd phase, which writes the empty clause, caches nothing), and the
+reason clause is emitted with a single hinted step before the step that
+hints it.
 A conflicting record is justified at once.  A top-level conflict closes the
 proof with the empty clause.
 
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from functools import partial
 from typing import NamedTuple
 
 from .formula import CnfFormula, extract_xors
@@ -261,18 +264,20 @@ class Solver:
         self.par.full_reduce(self._check_time)
 
     def _xor_tbdd(self, i):
-        """Recovered XOR i's canonical parity BDD, proved straight from its
-        own encoding clauses by `TbddEngine.tbdd_from_xor` the first time a
-        sum needs it.  Every node it creates stays reachable from the root,
-        so nothing is collectable."""
+        """Recovered XOR i's Tbdd, proved the first time a sum needs it and
+        cached for later sums."""
         t = self.xor_tbdds[i]
         if t is None:
-            self._check_time()
-            con = self.xors[i]
-            t = self.xor_tbdds[i] = self.tb.tbdd_from_xor(
-                con, [(cid, self.f.clause(cid)) for cid in con.source_clauses]
-            )
+            t = self.xor_tbdds[i] = self._prove_xor(i)
         return t
+
+    def _prove_xor(self, i):
+        """Recovered XOR i's canonical parity BDD, proved straight from its
+        own encoding clauses by `TbddEngine.tbdd_from_xor`.  Every node it
+        creates stays reachable from the root, so nothing is collectable."""
+        self._check_time()
+        con = self.xors[i]
+        return self.tb.tbdd_from_xor(con, [(cid, self.f.clause(cid)) for cid in con.source_clauses])
 
     def _justify(self, rec):
         """Proof id of a step deriving rec.clause (None without a proof).
@@ -280,7 +285,13 @@ class Solver:
         clause.  A row's sum is rebuilt when its origin, the row's shadow
         bit set, changes.  The BDD layer is built by the first call that
         needs a proof, so a solve that justifies nothing loads no BDD
-        module."""
+        module.
+
+        An empty rec.clause (a zero row with odd phase) is the last
+        justification: its sum writes the empty clause.  Nothing can reuse
+        that sum's inputs, so each XOR not yet cached goes in `Unbuilt`:
+        `greedy_sum` proves it when first picked, drops it once consumed and
+        collects with no floor, and `xor_tbdds` keeps none of them."""
         if self.writer is None:
             return None
         pid = self.justified.get(rec.clause)
@@ -290,14 +301,22 @@ class Solver:
             from .tbdd import TbddEngine
 
             self.tb = TbddEngine(self.order, self.writer, self.f.num_vars, self._check_time)
-        row = rec.row
-        ent = self.row_sum.get(row)
-        if ent is None or ent[0] != rec.origin:
-            if ent is not None and ent[0] & (ent[0] - 1):  # else an input's own Tbdd
-                self.tb.drop(ent[1])
-            summed = self.tb.greedy_sum([self._xor_tbdd(i) for i in bits(rec.origin)])
-            ent = self.row_sum[row] = (rec.origin, summed)
-        pid = self.justified[rec.clause] = self.tb.tbdd_justify_clause(ent[1], rec.clause)
+        if not rec.clause:
+            from .tbdd import Unbuilt
+
+            summed = self.tb.greedy_sum([
+                self.xor_tbdds[i] or Unbuilt(self.xors[i], partial(self._prove_xor, i))
+                for i in bits(rec.origin)
+            ])
+        else:
+            ent = self.row_sum.get(rec.row)
+            if ent is None or ent[0] != rec.origin:
+                if ent is not None and ent[0] & (ent[0] - 1):  # else an input's own Tbdd
+                    self.tb.drop(ent[1])
+                ent = self.row_sum[rec.row] = (
+                    rec.origin, self.tb.greedy_sum([self._xor_tbdd(i) for i in bits(rec.origin)]))
+            summed = ent[1]
+        pid = self.justified[rec.clause] = self.tb.tbdd_justify_clause(summed, rec.clause)
         self.tb.maybe_collect()
         return pid
 

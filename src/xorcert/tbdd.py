@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .bdd import _LEVEL_TERM, T0, T1, TRUE_SENTINEL, Bdd
 from .formula import ParityConstraint
@@ -33,7 +34,10 @@ HD, LD, HU, LU = 0, 1, 2, 3
 # A collection runs once the table holds more than L + max(GC_MIN_GROWTH,
 # L // GC_GROWTH_DIV) nodes, where L is the count the previous collection
 # left live (0 at start): the table stays within a constant factor of the
-# live nodes, and each collection is paid for by that many new nodes.
+# live nodes, and each collection is paid for by that many new nodes.  The
+# floor keeps garbage whose lemmas later sums of a search may reuse.  A sum
+# given unbuilt inputs closes the proof, so nothing reuses its garbage: it
+# collects past L + L // GC_GROWTH_DIV, with no floor.
 GC_MIN_GROWTH = 10_000
 GC_GROWTH_DIV = 4
 
@@ -72,6 +76,15 @@ class Tbdd:
     unit_id: int
     constraint: ParityConstraint | None = None
     dropped: bool = field(default=False, compare=False)
+
+
+class Unbuilt(NamedTuple):
+    """An input of `TbddEngine.greedy_sum` not yet proved: its constraint,
+    and the call that proves its Tbdd when the sum first picks it.  The sum
+    owns what `build` returns and drops it once consumed."""
+
+    constraint: ParityConstraint
+    build: Callable[[], Tbdd]
 
 
 class TbddEngine:
@@ -127,9 +140,13 @@ class TbddEngine:
         self.gc_live = self.bdd.num_nodes()
         self.gc_collections += 1
 
-    def maybe_collect(self):
+    def maybe_collect(self, floor=None):
+        """Collect once the table has grown past the count L left live by the
+        last collection by max(floor, L // GC_GROWTH_DIV) nodes, the floor
+        being GC_MIN_GROWTH unless given."""
         live = self.gc_live
-        if self.bdd.num_nodes() > live + max(GC_MIN_GROWTH, live // GC_GROWTH_DIV):
+        floor = GC_MIN_GROWTH if floor is None else floor
+        if self.bdd.num_nodes() > live + max(floor, live // GC_GROWTH_DIV):
             self.collect()
 
     def flush_deletes(self):
@@ -421,9 +438,17 @@ class TbddEngine:
         Positions follow the input list, then creation order of intermediate
         sums.  Only overlapping pairs enter the heap, found through a
         variable -> live positions index, and stale pairs are dropped as
-        they reach the top.  Each sum first checks the deadline."""
+        they reach the top.  Each sum first checks the deadline.
+
+        An input is a Tbdd, which the caller keeps, or `Unbuilt`, which is
+        built when a sum first picks it.  Built inputs and intermediate sums
+        are dropped as soon as a sum consumes them.  Unbuilt inputs mark the
+        sum that closes the proof, whose garbage no later sum reuses: it
+        collects with no GC_MIN_GROWTH floor."""
         assert tbdds
-        items: dict[int, Tbdd] = dict(enumerate(tbdds))
+        items: dict[int, Tbdd | Unbuilt] = dict(enumerate(tbdds))
+        floor = 0 if any(t.__class__ is Unbuilt for t in tbdds) else None
+        owned = set()  # positions of the items this call built
         sup = {i: frozenset(t.constraint.vars) for i, t in items.items()}
         holders: dict[int, set[int]] = {}
         for i, vs in sup.items():
@@ -435,7 +460,7 @@ class TbddEngine:
                 if j > i:
                     heap.append((len(vs ^ sup[j]), i, j))
         heapq.heapify(heap)
-        next_pos = first_sum = len(tbdds)  # sums, the items to drop, sit from here on
+        next_pos = len(tbdds)
         while len(items) > 1:
             if self.check_time is not None:
                 self.check_time()
@@ -445,18 +470,22 @@ class TbddEngine:
                 _, i, j = heapq.heappop(heap)
             else:
                 i, j = heapq.nsmallest(2, items)
+            for k in (i, j):
+                if items[k].__class__ is Unbuilt:
+                    items[k] = items[k].build()
+                    owned.add(k)
             s = self.tbdd_xor_sum(items[i], items[j])
             for k in (i, j):
                 t = items.pop(k)
                 for x in sup.pop(k):
                     holders[x].discard(k)
-                if k >= first_sum:
+                if k in owned:
                     self.drop(t)
             if s.root == T0:
                 # contradiction already yields the empty clause; summing
                 # further would append past it
                 for k, t in items.items():
-                    if k >= first_sum:
+                    if k in owned:
                         self.drop(t)
                 self.flush_deletes()
                 return s
@@ -468,16 +497,19 @@ class TbddEngine:
             for x in vs:
                 holders[x].add(pos)
             items[pos] = s
-            self.maybe_collect()
+            owned.add(pos)
+            self.maybe_collect(floor)
         (_, last), = items.items()
-        return last
+        return last.build() if last.__class__ is Unbuilt else last
 
     # -- lifetime ------------------------------------------------------------
 
     def drop(self, t: Tbdd):
         """Release a Tbdd: deref the root and delete its unit step.  The
         empty clause of a false root is never deleted."""
-        assert not t.dropped, "double drop"
+        if t.dropped:
+            # raised, not asserted, so that `python -O` keeps the check
+            raise ProofEngineError(f"double drop of the Tbdd rooted at {t.root}")
         t.dropped = True
         if t.root not in (T0, T1):
             self.bdd.deref(t.root)

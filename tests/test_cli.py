@@ -354,6 +354,22 @@ OPTIMIZED_FAILURES = {
         "sys.exit(cli.main(sys.argv[1:]))\n",
         "error: AssertionError: model misses clause 1\n",
     ),
+    "double-drop": (
+        "from xorcert import cli\n"
+        "from xorcert.solver import SAT, Solver\n"
+        "from xorcert.tbdd import T1, Tbdd, TbddEngine\n"
+        "def search(self):\n"
+        "    tb = TbddEngine(self.order, self.writer, self.f.num_vars)\n"
+        "    t = Tbdd(T1, 0)\n"
+        "    tb.drop(t)\n"
+        "    tb.drop(t)\n"
+        "    self._enqueue(1, None)\n"
+        "    self._enqueue(2, None)\n"
+        "    return SAT\n"
+        "Solver._search = search\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n",
+        "error: ProofEngineError: double drop of the Tbdd rooted at 1000000000\n",
+    ),
     "step-after-empty": (
         "import io\n"
         "from xorcert.lrat import ProofWriter\n"

@@ -1,0 +1,56 @@
+"""Smoke test of tools/fingerprint.py on two tiny instances.  It pins no
+hash or count: the full set is for diffing two versions of the solver, and
+stays out of the test suite."""
+
+import importlib.util
+import os
+import re
+from io import StringIO
+
+from xorcert import lrat
+from xorcert.benchgen import UrqConfig, gen_urquhart
+from xorcert.solver import UNSAT, Solver
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "tools", "fingerprint.py")
+_spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
+fingerprint = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(fingerprint)
+
+LINE = re.compile(
+    r"default-order/(?P<name>\S+) status=UNSAT conflicts=\d+ decisions=\d+ "
+    r"propagations=\d+ parity_propagations=\d+ proof_adds=[1-9]\d* justifications=\d+ "
+    r"peak_bdd_nodes=\d+ gc_collections=\d+ check=verified "
+    r"proof_sha256=[0-9a-f]{64} add_digest=[0-9a-f]{64}"
+)
+
+
+def test_one_line_per_instance(capsys):
+    assert fingerprint.main(["--instance", "urq:3:1", "--instance", "lpn:6:8:unsat"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    matches = [LINE.fullmatch(line) for line in lines]
+    assert all(matches), lines
+    assert [m["name"] for m in matches] == ["urq-m3-s1", "lpn-n6-unsat-s8"]
+
+
+def test_add_digest_ignores_deletions(monkeypatch):
+    f = gen_urquhart(UrqConfig(m=3, seed=1)).formula
+    proofs = []
+    for keep_deletes in (True, False):
+        with monkeypatch.context() as m:
+            if not keep_deletes:
+                m.setattr(lrat.ProofWriter, "delete", lambda self, ids: None)
+            sink = StringIO()
+            assert Solver(f, proof_sink=sink).solve().status == UNSAT
+        proofs.append(sink.getvalue().encode())
+    full, bare = proofs
+    assert b" d " in full and b" d " not in bare and full != bare
+    digest = fingerprint.add_digest(full, f.num_clauses)
+    # delete lines take ids, so the adds of `bare` are numbered differently
+    assert fingerprint.add_digest(bare, f.num_clauses) == digest
+    stripped = b"".join(l for l in full.splitlines(True) if l.split()[1] != b"d")
+    assert fingerprint.add_digest(stripped, f.num_clauses) == digest
+    # but an add step that changes changes the digest
+    first = bare.index(b"\n") + 1
+    flipped = bare[:first] + bare[first:].replace(b" ", b" -", 1)
+    assert fingerprint.add_digest(flipped, f.num_clauses) != digest

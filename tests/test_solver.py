@@ -59,6 +59,10 @@ def assert_verified(f, text, refutation=True):
     return res
 
 
+def never_collect(self, floor=None):
+    """A `TbddEngine.maybe_collect` that leaves every node live."""
+
+
 # -- fuzz against the oracle ------------------------------------------------
 
 
@@ -209,14 +213,54 @@ class TestParityReasoning:
         # after it do; here collecting it adds deletions to the proof and
         # nothing else
         inst = gen_urquhart(UrqConfig(m=5, seed=6))
-        plain = Solver(inst.formula, proof_sink=StringIO()).solve()
-        monkeypatch.setattr(tbdd, "GC_MIN_GROWTH", 500)
         sink = StringIO()
         r = Solver(inst.formula, proof_sink=sink).solve()
+        with monkeypatch.context() as m:
+            m.setattr(tbdd.TbddEngine, "maybe_collect", never_collect)
+            plain = Solver(inst.formula, proof_sink=StringIO()).solve()
+        assert plain.gc_collections == 0
         assert r.status == UNSAT and r.proof_adds == plain.proof_adds
         # 4,770 without collections
         assert r.peak_bdd_nodes <= 3_000 and r.gc_collections > 0
         assert_verified(inst.formula, sink.getvalue())
+
+    def test_closing_sum_holds_only_live_nodes(self, monkeypatch):
+        # urq m=9 seed 10 is the m=9 instance of the benchmark's urq-refute
+        # workload at workload seed 1.  Its one justification is the sum
+        # that writes the empty clause: each input XOR's BDD is built when
+        # the sum picks it and dropped once consumed, and garbage is
+        # collected with no floor.  Holding every input and a 10,000-node
+        # floor of garbage, the table peaked at 17,847 nodes.
+        inst = gen_urquhart(UrqConfig(m=9, seed=10))
+        sink = StringIO()
+        s = Solver(inst.formula, proof_sink=sink)
+        r = s.solve()
+        assert (r.status, r.conflicts, r.justifications) == (UNSAT, 0, 1)
+        assert_verified(inst.formula, sink.getvalue())
+        assert r.peak_bdd_nodes <= 6_000 and r.gc_collections > 0
+        assert s.xor_tbdds == [None] * r.num_xors
+        with monkeypatch.context() as m:
+            m.setattr(tbdd.TbddEngine, "maybe_collect", never_collect)
+            plain = Solver(inst.formula, proof_sink=StringIO()).solve()
+        assert plain.gc_collections == 0 and plain.proof_adds == r.proof_adds
+
+    def test_search_time_sums_keep_their_inputs(self):
+        # default-order lpn n=6 seed 8 justifies parity reasons during
+        # search, where later sums may reuse each XOR's BDD
+        summed = set()
+
+        class Recording(Solver):
+            def _justify(self, rec):
+                assert rec.clause
+                summed.update(gauss.bits(rec.origin))
+                return super()._justify(rec)
+
+        inst = gen_lpn(LpnConfig(n=6, bound_offset=True, seed=8))
+        s = Recording(inst.formula, proof_sink=StringIO())
+        r = s.solve()
+        assert r.status == UNSAT and r.justifications == 10
+        assert summed and all(s.xor_tbdds[i] is not None for i in summed)
+        assert not any(t.dropped for t in s.xor_tbdds if t is not None)
 
     def test_xor_disabled_still_refutes_clausally(self):
         clauses = []

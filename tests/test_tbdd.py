@@ -1,3 +1,4 @@
+import functools
 import heapq
 import io
 import itertools
@@ -10,7 +11,7 @@ from xorcert.bdd import T0, T1
 from xorcert.formula import CnfFormula, ParityConstraint, xor_encoding_clauses
 from xorcert.lrat import AddStep, DeleteStep, ProofWriter, Verified, check, parse_proof
 from xorcert import tbdd as tbdd_module
-from xorcert.tbdd import DeadlineExceeded, ProofEngineError, Tbdd, TbddEngine
+from xorcert.tbdd import DeadlineExceeded, ProofEngineError, Tbdd, TbddEngine, Unbuilt
 
 from test_bdd import evaluate, plain_and
 
@@ -610,11 +611,50 @@ class TestLifetimeAndGc:
         assert eng.gc_collections == len(log)
         bench.verify()
 
+    def test_unbuilt_inputs_are_built_when_picked_and_dropped(self):
+        # a cycle whose parities sum to 0 = 1; input 0 is a Tbdd the caller
+        # keeps, the others are unbuilt and belong to the sum
+        ps = [
+            ParityConstraint((1, 2), 1),
+            ParityConstraint((2, 3), 0),
+            ParityConstraint((3, 4), 0),
+            ParityConstraint((1, 4), 0),
+        ]
+        clauses = [xor_encoding_clauses(p) for p in ps]
+        bench = Bench(CnfFormula(4, [cl for cls in clauses for cl in cls]))
+        eng = bench.engine
+        first = [1 + sum(map(len, clauses[:k])) for k in range(len(ps))]
+        built = []
+
+        def build(k):
+            built.append(k)
+            return eng.tbdd_from_xor(ps[k], enumerate(clauses[k], start=first[k]))
+
+        at_sum = []
+        xor_sum = eng.tbdd_xor_sum
+
+        def logged(a, b):
+            at_sum.append(list(built))
+            return xor_sum(a, b)
+
+        eng.tbdd_xor_sum = logged
+        kept = build(0)
+        s = eng.greedy_sum([kept] + [Unbuilt(ps[k], functools.partial(build, k))
+                                     for k in range(1, len(ps))])
+        assert s.root == T0
+        assert at_sum == [[0, 1], [0, 1, 2, 3], [0, 1, 2, 3]]
+        # the floor would keep this sum's few nodes; with no floor they go
+        assert eng.gc_collections > 0
+        assert not kept.dropped
+        eng.collect()
+        assert eng.bdd.num_nodes() == 3  # kept's parity BDD over two variables
+        bench.verify(refutation=True)
+
     def test_drop_is_single_use(self):
         b = Bench(CnfFormula(2, [(1, 2)]))
         (t,) = clause_tbdds(b)
         b.engine.drop(t)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ProofEngineError, match="double drop"):
             b.engine.drop(t)
 
     def test_node_reuse_after_collect_gets_fresh_evar(self):

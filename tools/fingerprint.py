@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Per-instance fingerprints of xorcert's search and proofs, for claims that
+two versions of the solver search and prove alike.
+
+    python3 tools/fingerprint.py > after.txt
+    python3 tools/fingerprint.py --src ../parent/src > before.txt
+    diff before.txt after.txt
+
+Each instance is solved by `xorcert solve` in a child process, run from the
+sources in --src (default: this checkout's), with a proof file and a JSON
+report; an UNSAT proof is then checked by `xorcert check` from the same
+sources.  One line per instance gives its name, the report's search and
+proof counters, the check's verdict, the sha256 of the proof file and an
+add-step digest: the sha256 of the add steps alone, their ids renumbered
+consecutively after the input clauses and their hints remapped to match.
+Delete steps take ids too, so a change that moves only deletions changes
+the proof's sha256 but keeps its add-step digest.
+
+The default set is the 55 instances of the benchmark's three workloads at
+workload seed 1, each solved as perfbench solves it (with --var-order where
+the instance has an order, with --no-xor on lpn-clausal), then four
+default-order xor-mode solves: lpn n=6 seed 8, n=14 seed 77 and n=16
+seed 2, and urq m=8 seed 8.  Instances come from perfbench/workloads.py,
+which this script only imports.  --instance FAMILY:SIZE:SEED[:unsat]
+(repeatable) runs those default-order xor-mode solves instead.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, ROOT)
+
+from perfbench import workloads  # noqa: E402
+
+SEED = 1
+DEFAULT_ORDER = ("lpn:6:8:unsat", "lpn:14:77:unsat", "lpn:16:2:unsat", "urq:8:8")
+FIELDS = (
+    "status", "conflicts", "decisions", "propagations", "parity_propagations",
+    "proof_adds", "justifications", "peak_bdd_nodes", "gc_collections",
+)
+TIMEOUT_S = 600
+
+
+def add_digest(proof: bytes, num_inputs: int) -> str:
+    """sha256 of the add steps of an LRAT proof, with the k-th add step
+    renumbered num_inputs + k and every hint remapped to match."""
+    renum: dict[int, int] = {}
+    h = hashlib.sha256()
+    for line in proof.splitlines():
+        tok = line.split()
+        if not tok or tok[1] == b"d":
+            continue
+        new = renum[int(tok[0])] = num_inputs + 1 + len(renum)
+        end = tok.index(b"0", 1)
+        hints = (str(renum.get(int(x), int(x))).encode() for x in tok[end + 1:-1])
+        h.update(b" ".join([str(new).encode(), *tok[1:end], b"0", *hints, b"0"]) + b"\n")
+    return h.hexdigest()
+
+
+def default_runs():
+    """(label, instance, use_xor) for the default set, instances unwritten."""
+    runs = []
+    for wl in workloads.WORKLOADS.values():
+        for spec in workloads.specs(wl.family, SEED, wl.use_xor):
+            runs.append((wl.name, workloads.build(spec), wl.use_xor))
+    return runs + spec_runs(DEFAULT_ORDER)
+
+
+def spec_runs(texts):
+    """Default-order xor-mode runs of the instances named by `texts`."""
+    runs = []
+    for text in texts:
+        inst = workloads.build(workloads.parse_spec(text))
+        inst.var_order = None
+        runs.append(("default-order", inst, True))
+    return runs
+
+
+def fingerprint(label, inst, use_xor, src, workdir) -> str:
+    """Solve (and check) one written instance; returns its line."""
+    env = dict(os.environ, PYTHONPATH=src)
+    cli = [sys.executable, "-m", "xorcert.cli"]
+    proof = os.path.join(workdir, f"{label}-{inst.name}.lrat")
+    report = proof[:-len(".lrat")] + ".report"
+    argv = cli + ["solve", inst.cnf_path, "--proof", proof, "--report", report]
+    if inst.order_path:
+        argv += ["--var-order", inst.order_path]
+    if not use_xor:
+        argv.append("--no-xor")
+    subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    with open(report) as fh:
+        rep = json.loads(fh.readline())
+    verdict = "-"
+    if rep["status"] == "UNSAT":
+        run = subprocess.run(cli + ["check", inst.cnf_path, proof], env=env,
+                             stdout=subprocess.DEVNULL, timeout=TIMEOUT_S)
+        verdict = "verified" if run.returncode == 0 else f"exit-{run.returncode}"
+    with open(proof, "rb") as fh:
+        data = fh.read()
+    counters = " ".join(f"{k}={rep[k]}" for k in FIELDS)
+    return (f"{label}/{inst.name} {counters} check={verdict} "
+            f"proof_sha256={hashlib.sha256(data).hexdigest()} "
+            f"add_digest={add_digest(data, inst.formula.num_clauses)}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"),
+                    help="directory holding the xorcert package to run")
+    ap.add_argument("--instance", action="append",
+                    help="run only this default-order xor-mode solve (repeatable), "
+                         "e.g. urq:8:8 or lpn:14:77:unsat")
+    args = ap.parse_args(argv)
+    src = os.path.abspath(args.src)
+    runs = spec_runs(args.instance) if args.instance else default_runs()
+    with tempfile.TemporaryDirectory() as workdir:
+        for label, inst, use_xor in runs:
+            workloads.write_instances([inst], workdir)
+            print(fingerprint(label, inst, use_xor, src, workdir), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
