@@ -16,7 +16,6 @@ clauses live at each step, not by the length of the proof.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from operator import neg
 from typing import NamedTuple
 
@@ -184,11 +183,11 @@ def check(f: CnfFormula, steps, refutation: bool = True):
     Refutation mode additionally demands a final empty-clause step.
     """
     live: dict[int, tuple[int, ...]] = {i: cl for i, cl in enumerate(f.clauses, start=1)}
-    # occurrence lists are kept only for variables beyond the input range;
-    # those are the only legal pivots of definition steps.  Each list holds
-    # the ids of the live clauses on its variable once, ascending, since ids
-    # are appended in step order; an emptied list is dropped.
-    occ: dict[int, list[int]] = {}
+    # occurrences are kept only for variables beyond the input range; those
+    # are the only legal pivots of definition steps.  Each variable's dict
+    # holds the ids of the live clauses on it as keys, in insertion order,
+    # which is ascending since ids only grow; an emptied dict is dropped.
+    occ: dict[int, dict[int, None]] = {}
     max_id = f.num_clauses
     nvars = f.num_vars
     visits = 0
@@ -215,12 +214,9 @@ def check(f: CnfFormula, steps, refutation: bool = True):
                         # gone, or without d, when an earlier literal of this
                         # clause on the same variable removed d
                         if ids is not None:
-                            i = bisect_left(ids, d)
-                            if i < len(ids) and ids[i] == d:
-                                if len(ids) == 1:
-                                    del occ[v]
-                                else:
-                                    del ids[i]
+                            ids.pop(d, None)
+                            if not ids:
+                                del occ[v]
             deletes += len(step.ids)
             continue
 
@@ -274,9 +270,9 @@ def check(f: CnfFormula, steps, refutation: bool = True):
             if v > nvars:
                 ids = occ.get(v)
                 if ids is None:
-                    occ[v] = [sid]
-                elif ids[-1] != sid:  # a repeat of the variable in this clause
-                    ids.append(sid)
+                    occ[v] = {sid: None}
+                else:
+                    ids[sid] = None
         adds += 1
         if not lits:
             has_empty = True

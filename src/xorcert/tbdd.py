@@ -2,11 +2,13 @@
 operation emits hint-checked clausal lemmas.
 
 A node's handle doubles as its extension variable (handles start above the
-input variable range).  Registering a node emits its up-to-four defining
-clauses as hintless blocked steps, pivot first.  A Tbdd pairs a root node
-with the proof id of the unit clause asserting its extension variable, so
-holding a Tbdd means the proof has established that the root's function is
-implied by the input formula.
+input variable range), and a complemented handle -n, the BDD's edge to NOT
+n, doubles as the negated literal -n.  Registering a node emits its
+up-to-four defining clauses as hintless blocked steps, pivot first; they
+define both polarities, since the down clauses of -n are n's up clauses.
+A Tbdd pairs a root handle with the proof id of the unit clause asserting
+its literal, so holding a Tbdd means the proof has established that the
+root's function is implied by the input formula.
 
 A recovered XOR's canonical parity BDD is proved straight from the XOR's
 encoding clauses, one lemma per prefix of its variables, without building
@@ -69,7 +71,8 @@ class Tbdd:
     """Trusted BDD: root handle plus the unit step asserting it.
 
     unit_id == 0 means trivially trusted (root is the true terminal).
-    The root handle is also the extension variable.
+    The root handle is also the unit's literal; a negative root is a
+    complemented edge, asserted as a negated extension variable.
     """
 
     root: int
@@ -191,6 +194,12 @@ class TbddEngine:
         raise ProofEngineError(f"no conflict while deriving {lits}")
 
     def _def_cand(self, u, role):
+        """The (id, clause) step of u's defining clause in slot `role`, None
+        for a terminal or a tautology.  A complemented handle -n reads n's
+        clause of the opposite direction: HD of -n is HU of n, LD of -n is
+        LU of n, and the reverse."""
+        if u < 0:
+            u, role = -u, role ^ 2
         d = self.defs.get(u)
         return None if d is None else d[role]
 
@@ -248,7 +257,8 @@ class TbddEngine:
         def lemma(s, n):
             # hint candidates for [-s, n]: the refutation of s AND NOT n at
             # the bottom level and for the root, else the lemma's own step
-            x, h, l = b.var(n), b.hi(n), b.lo(n)
+            lvl, h, l = b.node(n)
+            x = b.var_at[lvl]
             if b.is_terminal(h):
                 # NOT n sets x against the parity; the clause blocking the
                 # full assignment then conflicts
@@ -284,8 +294,10 @@ class TbddEngine:
         would, so the depth of a BDD is not bounded by Python's stack.  A
         conjunction makes each triple's w from its children's and memoises
         (u, v) -> (w, cand) for the call.  Lemmas of both modes are cached
-        as (min(u, v), max(u, v), w)."""
+        as (min(u, v), max(u, v), w).  Each triple reads each operand's
+        node once.  u == -v is false: its lemma is a tautology."""
         b = self.bdd
+        node = b.node
         cache = self.and_imply_cache
         build = w is None
         memo = {}
@@ -303,17 +315,20 @@ class TbddEngine:
                     if v == T0 or u == T1:
                         done.append((v, None))
                         continue
+                    if u == -v:
+                        done.append((T0, None))
+                        continue
                     hit = memo.get((u, v) if u < v else (v, u))
                     if hit is not None:
                         done.append(hit)
                         continue
-                    lw = _LEVEL_TERM
+                    lw, wh, wl = _LEVEL_TERM, None, None
                 else:
                     if u > v:
                         u, v = v, u
                     if u == v:
                         v = T1
-                    if u == T0 or w == T1 or w == u or w == v:
+                    if u == T0 or w == T1 or w == u or w == v or u == -v:
                         done.append((w, None))
                         continue
                     if u == T1:
@@ -322,26 +337,27 @@ class TbddEngine:
                     if hit is not None:
                         done.append((w, (hit, _clean((-u, -v, w)))))
                         continue
-                    lw = b.level(w)
-                lu, lv = b.level(u), b.level(v)
+                    lw, wh, wl = node(w)
+                lu, uh, ul = node(u)
+                lv, vh, vl = node(v)
                 lvl = min(lu, lv, lw)
-                uh, ul = (b.hi(u), b.lo(u)) if lu == lvl else (u, u)
-                vh, vl = (b.hi(v), b.lo(v)) if lv == lvl else (v, v)
-                wh, wl = (b.hi(w), b.lo(w)) if lw == lvl else (w, w)
-                todo.append((u, v, w, lvl, lu == lvl, lv == lvl))
+                uh, ul = (uh, ul) if lu == lvl else (u, u)
+                vh, vl = (vh, vl) if lv == lvl else (v, v)
+                wh, wl = (wh, wl) if lw == lvl else (w, w)
+                todo.append((u, v, w, lvl, lu == lvl, lv == lvl, lw == lvl))
                 todo.append((ul, vl, wl))
                 todo.append((uh, vh, wh))
                 continue
-            u, v, w, lvl, u_at, v_at = frame
+            u, v, w, lvl, u_at, v_at, w_at = frame
             wl, lo_cand = done.pop()
             wh, hi_cand = done.pop()
             x = b.var_at[lvl]
             if build:
                 w = b.mk_node(x, wh, wl)
+                w_at = wh != wl
             key = (u, v, w) if u < v else (v, u, w)
             target = _clean((-u, -v, w))
             if target is not None and key not in cache:
-                w_at = b.level(w) == lvl
                 hi_clause = _clean((-x, -u, -v, w))
                 step_h = self._emit_rup(
                     hi_clause,
@@ -409,12 +425,12 @@ class TbddEngine:
         while node != T0:
             if node == T1:
                 raise ProofEngineError(f"clause {clause} not implied: path reaches true")
-            x = b.var(node)
+            lvl, h, l = b.node(node)
+            x = b.var_at[lvl]
             if x not in alpha:
                 raise ProofEngineError(f"clause {clause} leaves {x} free on the path")
-            role = HD if alpha[x] else LD
-            cands.append(self._def_cand(node, role))
-            node = b.hi(node) if alpha[x] else b.lo(node)
+            cands.append(self._def_cand(node, HD if alpha[x] else LD))
+            node = h if alpha[x] else l
         return self._emit_rup(tuple(clause), cands)
 
     # -- parity sums ---------------------------------------------------------

@@ -98,9 +98,11 @@ def test_criterion_2_parity_bdd_size():
             b = Bdd(order)
             root = b.parity_bdd(vs, rng.randrange(2))
             n = cone_size(b, root)
-            assert n == 2 * k - 1, f"k={k}: {n} nodes"
+            assert b.num_nodes() == k, f"k={k}: {b.num_nodes()} stored nodes"
+            assert n == 2 * k - 1, f"k={k}: {n} signed subfunctions"
     dt = time.perf_counter() - t0
-    report(2, dt < 1.0, f"2k-1 nodes for k=2..64 x 10 orders, {dt:.2f} s")
+    report(2, dt < 1.0, f"k stored nodes, 2k-1 signed subfunctions for k=2..64 x 10 orders, "
+                        f"{dt:.2f} s")
 
 
 def test_criterion_3_encode_extract_round_trip():

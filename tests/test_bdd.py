@@ -44,8 +44,9 @@ def evaluate(b, u, assignment):
     return u == T1
 
 
-def cone_size(b, u):
-    """Nonterminal nodes reachable from u."""
+def cone(b, u):
+    """Nonterminal signed handles reachable from u: its distinct
+    subfunctions, u and -u counted apart."""
     seen = set()
     stack = [u]
     while stack:
@@ -55,7 +56,17 @@ def cone_size(b, u):
         seen.add(w)
         stack.append(b.hi(w))
         stack.append(b.lo(w))
-    return len(seen)
+    return seen
+
+
+def cone_size(b, u):
+    """Distinct nonterminal subfunctions reachable from u."""
+    return len(cone(b, u))
+
+
+def stored_size(b, u):
+    """Stored nodes reachable from u: one per subfunction and complement pair."""
+    return len({abs(w) for w in cone(b, u)})
 
 
 def all_functions(n):
@@ -120,9 +131,10 @@ class TestAnd:
 
 class TestParityBdd:
     def test_shape_small(self):
-        b = Bdd(list(range(1, 6)))
         for k in range(2, 6):
+            b = Bdd(list(range(1, 6)))
             u = b.parity_bdd(list(range(1, k + 1)), 1)
+            assert b.num_nodes() == stored_size(b, u) == k
             assert cone_size(b, u) == 2 * k - 1
 
     def test_single_var(self):
@@ -143,6 +155,7 @@ class TestParityBdd:
                 rng.shuffle(order)
                 b = Bdd(order)
                 u = b.parity_bdd(list(range(1, k + 1)), rng.randint(0, 1))
+                assert b.num_nodes() == stored_size(b, u) == k
                 assert cone_size(b, u) == 2 * k - 1
 
     def test_semantics(self):
@@ -153,6 +166,52 @@ class TestParityBdd:
                 a = dict(zip([1, 2, 3, 4], bits))
                 want = (a[1] ^ a[3] ^ a[4]) == bool(phase)
                 assert evaluate(b, u, a) == want
+
+    def test_signed_paths_give_xor_up_to_six_vars(self):
+        rng = random.Random(6)
+        for k in range(1, 7):
+            order = list(range(1, 7))
+            rng.shuffle(order)
+            b = Bdd(order)
+            vs = sorted(rng.sample(range(1, 7), k))
+            roots = [b.parity_bdd(vs, phase) for phase in (0, 1)]
+            assert roots[1] == -roots[0]
+            for bits in itertools.product([False, True], repeat=6):
+                a = dict(zip(range(1, 7), bits))
+                odd = sum(a[v] for v in vs) % 2 == 1
+                for phase, u in enumerate(roots):
+                    assert evaluate(b, u, a) == (odd == bool(phase))
+
+
+class TestComplementEdges:
+    def test_stored_hi_edges_are_regular_and_negation_commutes(self):
+        rng = random.Random(17)
+        for n in (2, 3, 4):
+            order = list(range(1, n + 1))
+            rng.shuffle(order)
+            b = Bdd(order)
+            below = {lvl: [T1, T0] for lvl in range(n + 1)}  # handles under each level
+            for _ in range(200):
+                lvl = rng.randrange(n)
+                var = b.var_at[lvl]
+                h, l = rng.choice(below[lvl + 1]), rng.choice(below[lvl + 1])
+                u = b.mk_node(var, h, l)
+                assert b.mk_node(var, -h, -l) == -u
+                assert (b.hi(u), b.lo(u)) == (h, l) or h == l
+                for up in range(lvl + 1):
+                    below[up] += [u, -u]
+            for key in b.nodes.values():
+                assert key[1] > 0, "stored hi edge is complemented"
+            assert len(b.unique) == b.num_nodes()
+
+    def test_complement_shares_the_node_and_its_refcount(self):
+        b = Bdd([1, 2])
+        u = b.parity_bdd([1, 2], 1)
+        b.ref(-u)
+        assert b.garbage_collect() == []
+        assert b.num_nodes() == 2
+        b.deref(-u)
+        assert len(b.garbage_collect()) == 2
 
 
 class TestGcAndRefs:
@@ -186,7 +245,7 @@ class TestGcAndRefs:
         u = b.ref(b.parity_bdd([1, 2, 3], 0))
         assert b.garbage_collect() == []
         b.deref(u)
-        assert len(b.garbage_collect()) == 5
+        assert len(b.garbage_collect()) == 3
 
     def test_callbacks(self):
         created, freed = [], []
@@ -202,9 +261,10 @@ class TestGcAndRefs:
 
 def test_capacity_error():
     b = Bdd([1, 2], first_id=TRUE_SENTINEL - 1)
-    b.mk_node(2, T1, T0)
+    u = b.mk_node(2, T1, T0)
+    assert b.mk_node(2, T0, T1) == -u  # the complement takes no new node
     with pytest.raises(BddCapacityError):
-        b.mk_node(2, T0, T1)
+        b.mk_node(1, T1, u)
 
 
 def test_first_id_allocation():
@@ -218,4 +278,7 @@ def test_to_dot_mentions_nodes():
     b = Bdd([1, 2])
     u = b.parity_bdd([1, 2], 1)
     dot = b.to_dot(u)
-    assert "digraph" in dot and dot.count("->") == 6
+    # two nodes with two edges each, plus the root's edge; the root and the
+    # top node's lo edge are complemented
+    assert "digraph" in dot and dot.count("->") == 5
+    assert dot.count("arrowhead=odot") == 2

@@ -677,8 +677,15 @@ class TestDebugDumps:
         out = capsys.readouterr().out
         assert out.startswith("digraph xor2 {")
         assert "T1" in out and "T0" in out
-        # ternary parity cone: 2*3-1 branch nodes
-        assert sum(1 for l in out.splitlines() if 'label="x' in l) == 5
+        # ternary parity cone: one node per variable; the lo edges of the
+        # upper two are complemented
+        assert sum(1 for l in out.splitlines() if 'label="x' in l) == 3
+        assert out.count("arrowhead=odot") == 2
+        # x1 ^ x2 == 1 is the complement of the even parity node over x1
+        assert cli.main(["bdd-dump", cnf, "-i", "0"]) == 0
+        out = capsys.readouterr().out
+        assert sum(1 for l in out.splitlines() if 'label="x' in l) == 2
+        assert "  root -> n2 [style=solid,arrowhead=odot];" in out.splitlines()
 
     def test_bdd_dump_bad_index(self, tmp_path, capsys):
         cnf = write(tmp_path / "x.cnf", THREE_XOR_CNF)

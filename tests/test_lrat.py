@@ -566,6 +566,26 @@ class TestCompactChecker:
         r = self.same(f, *partners, (4, (3, -1), ()))
         assert isinstance(r, Rejected) and r.reason.endswith("resolvent with 3")
 
+    def test_deleting_a_repeat_keeps_its_neighbours(self):
+        # clause 3 names variable 3 twice; deleting it leaves the live
+        # clauses on either side of it in that variable's occurrences
+        f = CnfFormula(2, [(1, 2)])
+        head = ((2, (-3, 1), ()), (3, (-3, 2, -3), ()), (4, (-3, -1, 2), ()),
+                (5, "d", (3,)))
+        r = self.same(f, *head, (6, (3, -2), ()))
+        assert isinstance(r, Rejected) and r.reason.endswith("resolvent with 2")
+        r = self.same(f, *head, (6, "d", (2,)), (7, (3,), ()))
+        assert isinstance(r, Rejected) and r.reason.endswith("resolvent with 4")
+        assert self.same(f, *head, (6, "d", (2, 4)), (7, (3,), ())).ok
+
+    def test_lowest_live_clash_partner_after_deletions(self):
+        f = CnfFormula(2, [(1, 2)])
+        partners = tuple((i, (-3, 1, 2), ()) for i in range(2, 7))
+        r = self.same(f, *partners, (7, "d", (2, 4)), (8, (3,), ()))
+        assert isinstance(r, Rejected) and r.reason.endswith("resolvent with 3")
+        r = self.same(f, *partners, (7, "d", (3, 2, 5)), (8, (3,), ()))
+        assert isinstance(r, Rejected) and r.reason.endswith("resolvent with 4")
+
     def test_huge_sparse_step_ids(self):
         r = self.same(PHI, (10**15, (1,), (1, 2)), (10**18, (), (10**15, 3, 4)),
                       refutation=True)

@@ -11,7 +11,7 @@ from xorcert.bdd import T0, T1
 from xorcert.formula import CnfFormula, ParityConstraint, xor_encoding_clauses
 from xorcert.lrat import AddStep, DeleteStep, ProofWriter, Verified, check, parse_proof
 from xorcert import tbdd as tbdd_module
-from xorcert.tbdd import DeadlineExceeded, ProofEngineError, Tbdd, TbddEngine, Unbuilt
+from xorcert.tbdd import HD, HU, LD, LU, DeadlineExceeded, ProofEngineError, Tbdd, TbddEngine, Unbuilt
 
 from test_bdd import evaluate, plain_and
 
@@ -129,7 +129,7 @@ class TestAnd:
         # parity(x1..x40) and parity(x2..x41), each summed from 2-variable
         # XORs, meet in at most 4 node pairs per level, but along 2^40
         # paths: a walk without its (u, v) memo revisits pairs without end.
-        # Walked triples are counted through the walk's level lookups.
+        # Walked triples are counted through the walk's node reads.
         n = 40
         ps = [ParityConstraint((i, i + 1), i % 2) for i in range(1, n + 1)]
         bench, ts = xor_system_bench(ps, n + 1)
@@ -138,18 +138,18 @@ class TestAnd:
         pv = eng.greedy_sum(ts[1::2])
         assert pu.constraint.vars == tuple(range(1, n + 1))
         assert pv.constraint.vars == tuple(range(2, n + 2))
-        size_u = size_v = 2 * n - 1
+        size_u = size_v = 2 * n - 1  # signed subfunctions of each operand
         bound = 3 * size_u * size_v
         lookups = 0
-        level = eng.bdd.level
+        node = eng.bdd.node
 
         def counted(u):
             nonlocal lookups
             lookups += 1
             assert lookups <= bound, "walk revisits (u, v) pairs"
-            return level(u)
+            return node(u)
 
-        monkeypatch.setattr(eng.bdd, "level", counted)
+        monkeypatch.setattr(eng.bdd, "node", counted)
         tw = eng.tbdd_and(pu, pv)
         monkeypatch.undo()
         assert lookups > 0
@@ -400,7 +400,7 @@ class TestXorSum:
             created = eng.bdd.created_total
             s = eng.tbdd_xor_sum(ts[0], ts[1])
             k = len(s.constraint.vars)
-            assert eng.bdd.created_total - created <= max(2 * k - 1, 0)
+            assert eng.bdd.created_total - created <= k
             bench.verify(refutation=s.root == T0)
 
     def test_wrong_phase_target_raises(self):
@@ -647,7 +647,7 @@ class TestLifetimeAndGc:
         assert eng.gc_collections > 0
         assert not kept.dropped
         eng.collect()
-        assert eng.bdd.num_nodes() == 3  # kept's parity BDD over two variables
+        assert eng.bdd.num_nodes() == 2  # kept's parity BDD over two variables
         bench.verify(refutation=True)
 
     def test_drop_is_single_use(self):
@@ -665,6 +665,65 @@ class TestLifetimeAndGc:
         b.engine.collect()
         t2 = b.engine.tbdd_from_clause((1, 2), 1)
         assert t2.root != old_root
+        b.verify()
+
+
+class TestComplementEdges:
+    def test_def_cand_of_complement_is_the_opposite_direction(self):
+        b = Bench(CnfFormula(2, [(1, 2)]))
+        eng = b.engine
+        bdd = eng.bdd
+        u2 = bdd.mk_node(2, T1, T0)
+        n = bdd.mk_node(1, u2, -u2)
+        assert n > 0 and eng._def_cand(-n, HD) == eng._def_cand(n, HU)
+        for u in (n, -n):
+            x, hi, lo = bdd.var(u), bdd.hi(u), bdd.lo(u)
+            shapes = {HD: (-u, -x, hi), LD: (-u, x, lo), HU: (u, -x, -hi), LU: (u, x, -lo)}
+            for role, shape in shapes.items():
+                cand = eng._def_cand(u, role)
+                assert cand == eng._def_cand(-u, role ^ 2)
+                assert set(cand[1]) == set(shape)
+
+    def test_complemented_root_justifies_and_survives_collect(self):
+        # x1 ^ x2 ^ x3 == 0 has a complemented root under any order
+        p = ParityConstraint((1, 2, 3), 0)
+        bench = xor_bench(p, 3)
+        eng = bench.engine
+        t = from_xor(bench, p)
+        assert t.root < 0 and -t.root in eng.bdd.nodes
+        reasons = [tuple(cl) for cl in xor_encoding_clauses(p)]
+        for cl in reasons:
+            eng.tbdd_justify_clause(t, cl)
+        eng.collect()  # the root's node is referenced only as its complement
+        assert eng.bdd.num_nodes() == 3 and -t.root in eng.bdd.nodes
+        for cl in reasons:
+            eng.tbdd_justify_clause(t, cl)
+        eng.drop(t)
+        eng.collect()
+        assert eng.bdd.num_nodes() == 0
+        bench.verify()
+
+    def test_complemented_clause_root(self):
+        b = Bench(CnfFormula(2, [(-1,), (1, 2)]))
+        ta, tb = clause_tbdds(b)
+        assert ta.root < 0 and ta.root == -b.engine.bdd.mk_node(1, T1, T0)
+        tw = b.engine.tbdd_and(ta, tb)
+        assert tw.root == b.engine.bdd.mk_node(1, T0, b.engine.bdd.mk_node(2, T1, T0))
+        b.engine.tbdd_justify_clause(tw, (-1, 2))
+        for t in (ta, tb, tw):
+            b.engine.drop(t)
+        b.engine.collect()
+        b.verify()
+
+    def test_operand_and_its_complement(self):
+        b = Bench(CnfFormula(2, [(1, 2)]))
+        eng = b.engine
+        (t,) = clause_tbdds(b)
+        before = b.writer.adds
+        assert eng._and_imply_j(t.root, -t.root) == (T0, None)
+        w = eng.bdd.mk_node(2, T1, T0)  # a node of t's chain
+        assert eng._and_imply_j(-t.root, t.root, w) == (w, None)
+        assert b.writer.adds == before
         b.verify()
 
 

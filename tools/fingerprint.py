@@ -10,7 +10,8 @@ Each instance is solved by `xorcert solve` in a child process, run from the
 sources in --src (default: this checkout's), with a proof file and a JSON
 report; an UNSAT proof is then checked by `xorcert check` from the same
 sources.  One line per instance gives its name, the report's search and
-proof counters, the check's verdict, the sha256 of the proof file and an
+proof counters (ext_vars counts the BDD nodes created, each one extension
+variable), the check's verdict, the sha256 of the proof file and an
 add-step digest: the sha256 of the add steps alone, their ids renumbered
 consecutively after the input clauses and their hints remapped to match.
 Delete steps take ids too, so a change that moves only deletions changes
@@ -45,7 +46,7 @@ SEED = 1
 DEFAULT_ORDER = ("lpn:6:8:unsat", "lpn:14:77:unsat", "lpn:16:2:unsat", "urq:8:8")
 FIELDS = (
     "status", "conflicts", "decisions", "propagations", "parity_propagations",
-    "proof_adds", "justifications", "peak_bdd_nodes", "gc_collections",
+    "proof_adds", "justifications", "ext_vars", "peak_bdd_nodes", "gc_collections",
 )
 TIMEOUT_S = 600
 
