@@ -56,12 +56,6 @@ class Bdd:
             return lvl, -hi, -lo
         return _NODE_T1 if u == T1 else self.nodes[u]
 
-    def level(self, u):
-        return self.node(u)[0]
-
-    def var(self, u):
-        return self.var_at[self.node(u)[0]]
-
     def hi(self, u):
         return self.node(u)[1]
 

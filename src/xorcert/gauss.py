@@ -11,13 +11,13 @@ pivot search and elimination visit only the rows that hold a column.
 The assignment is kept in the same packed form, as two column bit sets:
 the assigned columns and the True ones.  A row's free columns are then
 `row & ~assigned` and its parity `phase ^ popcount(row & true)`.
-Propagation is incremental: each live row watches two unassigned columns,
-listed per column, so only rows watching a newly assigned column are
-examined.  `on_assign` only adds to the two bit sets: the search that owns
-the engine undoes assignments by restoring a pair it saved, and, as with
-two watched literals per clause, the watches need no undo.  A full-scan
-`propagate` over an explicit assignment, which reads no engine state, is
-kept alongside as the slow reference path.
+Propagation reads the column index too: `on_assign` takes a batch of
+trail literals, adds its columns to the two bit sets and scans only the
+rows that hold one of them, since only those can have lost a free column.
+It keeps no per-row state, so a row rewrite needs no repair beyond the
+column index, and undo is the search restoring a pair of bit sets it
+saved.  A full-scan `propagate` over an explicit assignment, which reads
+no engine state, is kept alongside as the slow reference path.
 """
 
 from __future__ import annotations
@@ -80,18 +80,11 @@ class ParityEngine:
             for c in bits(m):
                 self.col_rows[c] |= 1 << i
         self.pivot_of_row: dict[int, int] = {}
-        # propagation state: bit sets of the assigned and of the True
-        # columns, the rows watching each column, each row's two watches
+        # propagation state: bit sets of the assigned and of the True columns
         self.assigned = 0
         self.true = 0
-        self.watching: list[list[int]] = [[] for _ in column_vars]
-        self.row_watch: list[tuple[int, int] | None] = [None] * len(self.rows)
 
     # -- row algebra ---------------------------------------------------------
-
-    def add_row_into(self, src: int, dst: int):
-        assert src != dst, "a row is never summed into itself"
-        self._add_row_into_set(src, 1 << dst)
 
     def _add_row_into_set(self, src: int, dsts: int):
         """Sum row `src` into every row in the bit set `dsts`; the column
@@ -149,60 +142,51 @@ class ParityEngine:
             lits.insert(0, v if (self.phases[r] ^ (m & true).bit_count()) & 1 else -v)
         return ReasonRecord(tuple(lits), self.shadow[r], kind, r)
 
-    def start_watches(self) -> list[ReasonRecord]:
-        """Install watches on every live row; returns the records already
-        forced with nothing assigned (empty and unit rows)."""
+    def _scan(self, rows_set: int) -> list[ReasonRecord]:
+        """Records of the rows in bit set `rows_set` under the engine's
+        assignment, in row order: a conflict for a row with no free column
+        and odd parity, a propagation for one with exactly one free column."""
+        rows, phases = self.rows, self.phases
+        unassigned, true = ~self.assigned, self.true
         out = []
-        for r, m in enumerate(self.rows):
-            if not m:
-                if self.phases[r]:
-                    out.append(ReasonRecord((), self.shadow[r], CONFLICT, r))
-                continue
-            rest = m & (m - 1)
-            a = (m ^ rest).bit_length() - 1
-            if not rest:
-                out.append(self._row_record(r, a, self.true))
-                continue
-            b = (rest & -rest).bit_length() - 1
-            self.row_watch[r] = (a, b)
-            self.watching[a].append(r)
-            self.watching[b].append(r)
+        for r in bits(rows_set):
+            m = rows[r]
+            free = m & unassigned
+            if not free:
+                if (phases[r] ^ (m & true).bit_count()) & 1:
+                    out.append(self._row_record(r, None, true))
+            elif not free & (free - 1):
+                out.append(self._row_record(r, free.bit_length() - 1, true))
         return out
 
-    def on_assign(self, var: int, val: bool) -> list[ReasonRecord]:
-        c_hit = self.col_of.get(var)
-        if c_hit is None:
-            return []
-        self.assigned |= 1 << c_hit
-        if val:
-            self.true |= 1 << c_hit
+    def scan_all_rows(self) -> list[ReasonRecord]:
+        """Records of every row; with nothing assigned, as when a search
+        starts, those of the empty rows of odd phase and of the unit rows."""
+        return self._scan((1 << len(self.rows)) - 1)
+
+    def on_assign(self, lits) -> list[ReasonRecord]:
+        """Assign the column variables among `lits`, a batch of literals
+        new to the engine, and return the records of the rows that hold
+        one of their columns; literals of other variables are skipped."""
+        col_of, col_rows = self.col_of, self.col_rows
         assigned, true = self.assigned, self.true
-        rows, row_watch, watching = self.rows, self.row_watch, self.watching
-        out = []
-        kept = []
-        for r in watching[c_hit]:
-            a, b = row_watch[r]
-            other = b if a == c_hit else a
-            free = rows[r] & ~assigned & ~(1 << other)
-            if free:
-                repl = (free & -free).bit_length() - 1
-                watching[repl].append(r)
-                row_watch[r] = (other, repl)
-                continue
-            kept.append(r)
-            if not assigned >> other & 1:
-                out.append(self._row_record(r, other, true))
-            elif (self.phases[r] ^ (rows[r] & true).bit_count()) & 1:
-                out.append(self._row_record(r, None, true))
-        watching[c_hit] = kept
-        return out
+        touched = 0
+        for lit in lits:
+            c = col_of.get(lit if lit > 0 else -lit)
+            if c is not None:
+                assigned |= 1 << c
+                if lit > 0:
+                    true |= 1 << c
+                touched |= col_rows[c]
+        self.assigned, self.true = assigned, true
+        return self._scan(touched)
 
     # -- reference path ------------------------------------------------------
 
     def propagate(self, assignment: dict[int, bool]) -> list[ReasonRecord]:
         """Full scan under an explicit assignment, which alone it reads;
         conflicts and unit rows reported in row order.  Reference
-        implementation for the watch path."""
+        implementation for `on_assign`."""
         assigned = true = 0
         for v, val in assignment.items():
             c = self.col_of.get(v)

@@ -33,11 +33,11 @@ has one reason: None for a decision, the `_Clause` that implied it (input
 or learned, units included), or the parity engine's `ReasonRecord`, which
 conflict analysis justifies the first time it resolves on it.  Both kinds
 carry the implying clause as `.clause`.
-`is_col[v]` says whether v is a column of the parity engine, whose
-`on_assign` is called for those variables alone, in trail order up to
-`ghead`.  A decision is taken only at a joint fixpoint, where `ghead` is
-the trail's length, so the engine's `assigned` and `true` bit sets saved
-in `par_lim` beside each `trail_lim` entry are its view of the trail below
+The parity engine sees the trail in batches: each pass hands it the
+suffix `trail[ghead:]` through `on_assign` and moves `ghead` to the end.
+A decision is taken only at a joint fixpoint, where `ghead` is the
+trail's length, so the engine's `assigned` and `true` bit sets saved in
+`par_lim` beside each `trail_lim` entry are its view of the trail below
 that level; `_backtrack` restores them in one step.
 
 The decision heap holds (-activity, v) entries, and every free variable has
@@ -84,7 +84,9 @@ class SolveResult(NamedTuple):
     conflicts: int = 0
     decisions: int = 0
     propagations: int = 0
-    parity_propagations: int = 0  # parity records handed over, literal already true or not
+    # parity records handed to the search, the initial scan's included; a
+    # pass may repeat a literal that an earlier record of the pass forced
+    parity_propagations: int = 0
     restarts: int = 0
     learned: int = 0
     num_xors: int = 0
@@ -157,7 +159,6 @@ class Solver:
         self._rebuild_heap()  # sets `heap` and `queued`
         # parity side
         self.par: ParityEngine | None = None
-        self.is_col = [False] * (n + 1)
         self.tb = None  # the TbddEngine, built when a reason first needs a proof
         self.xors = []
         self.xor_tbdds = []  # per recovered XOR: its Tbdd once a sum needs it
@@ -258,8 +259,6 @@ class Solver:
         support = {v for c in self.xors for v in c.vars}
         cols = [v for v in self.order if v in support]
         self.par = ParityEngine(self.xors, column_vars=cols)
-        for v in cols:
-            self.is_col[v] = True
         self.xor_tbdds = [None] * len(self.xors)
         self.par.full_reduce(self._check_time)
 
@@ -387,19 +386,12 @@ class Solver:
                 return confl.clause, confl.pid
             if self.par is None or self.ghead >= len(trail):
                 return None
-            is_col = self.is_col
-            limit = len(trail)
-            while self.ghead < limit:
-                p = trail[self.ghead]
-                self.ghead += 1
-                v = p if p > 0 else -p
-                if not is_col[v]:
-                    continue
-                for rec in self.par.on_assign(v, p > 0):
-                    self.parity_propagations += 1
-                    out = self._handle_record(rec)
-                    if out is not None:
-                        return out
+            recs = self.par.on_assign(trail[self.ghead:])
+            self.ghead = len(trail)
+            for rec in recs:
+                out = self._handle_record(rec)
+                if out is not None:
+                    return out
 
     def _handle_record(self, rec):
         """Enqueue a parity record's implied literal with the record itself
@@ -407,6 +399,7 @@ class Solver:
         it.  A record that conflicts with the assignment is justified at
         once and returned as (clause, proof id); one whose literal is
         already true is dropped."""
+        self.parity_propagations += 1
         if rec.kind != CONFLICT:
             lit = rec.clause[0]
             val = self.lval[lit]
@@ -517,7 +510,7 @@ class Solver:
             elif self.lval[lits[0]] is None:
                 self._enqueue(lits[0], cl)
         if self.par is not None:
-            for rec in self.par.start_watches():
+            for rec in self.par.scan_all_rows():
                 confl = self._handle_record(rec)
                 if confl is not None:
                     # an empty clause comes from a zero row with odd phase,

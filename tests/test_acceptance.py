@@ -34,6 +34,8 @@ from xorcert.formula import (
 from xorcert.lrat import ProofSyntaxError, check, parse_proof
 from xorcert.solver import SAT, UNSAT, LIMIT, Solver
 
+from test_gauss import add_row_into
+
 
 def report(num, ok, detail):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -226,7 +228,7 @@ def test_criterion_8_justification_and_gc_replay():
     rec = next(r for r in s2.par.propagate({1: True}) if r.row == 0)
     s2._justify(rec)
     assert check(f2, parse_proof(sink2.getvalue()), refutation=False).ok
-    s2.par.add_row_into(1, 0)
+    add_row_into(s2.par, 1, 0)
     rec2 = next(r for r in s2.par.propagate({1: True}) if r.row == 0)
     s2._justify(rec2)
     s2.tb.flush_deletes()

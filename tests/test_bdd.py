@@ -21,6 +21,16 @@ def tt_bdd(engine, vars_top_down, truth):
     return build([])
 
 
+def level(b, u):
+    """The level of handle u's node; a terminal's lies below every variable's."""
+    return b.node(u)[0]
+
+
+def var(b, u):
+    """The variable tested by handle u's node."""
+    return b.var_at[b.node(u)[0]]
+
+
 def plain_and(b, u, v):
     """Conjunction without a proof or a memo: the oracle that the
     proof-backed `TbddEngine.tbdd_and` is checked against."""
@@ -30,7 +40,7 @@ def plain_and(b, u, v):
         return v
     if v == T1:
         return u
-    lu, lv = b.level(u), b.level(v)
+    lu, lv = level(b, u), level(b, v)
     lvl = min(lu, lv)
     uh, ul = (b.hi(u), b.lo(u)) if lu == lvl else (u, u)
     vh, vl = (b.hi(v), b.lo(v)) if lv == lvl else (v, v)
@@ -40,7 +50,7 @@ def plain_and(b, u, v):
 def evaluate(b, u, assignment):
     """Follow `assignment` (dict var -> bool) from u to a terminal."""
     while not b.is_terminal(u):
-        u = b.hi(u) if assignment[b.var(u)] else b.lo(u)
+        u = b.hi(u) if assignment[var(b, u)] else b.lo(u)
     return u == T1
 
 

@@ -423,8 +423,10 @@ class TestImportSets:
         elif command == "solve":
             argv = ["solve", cnf, "--no-xor", "--proof", proof]
         else:
-            # an lpn-xor workload instance: its search propagates parity
-            # records but resolves on none, so nothing is justified
+            # an lpn-xor workload instance: clauses set every literal first,
+            # so the parity engine hands over only the two unit rows of the
+            # scan before search, whose literals are input unit clauses, and
+            # nothing is justified
             cnf, order = str(tmp_path / "lpn.cnf"), str(tmp_path / "lpn.order")
             cli.main(["gen", "lpn", "-n", "12", "--unsat", "--seed", "32013",
                       "-o", cnf, "--var-order-out", order])
@@ -445,7 +447,8 @@ class TestImportSets:
         assert loaded.isdisjoint(UNLOADED[command]), loaded & set(UNLOADED[command])
         if command == "solve-xor":
             rep = json.loads((tmp_path / "report.jsonl").read_text())
-            assert rep["parity_propagations"] > 0 and rep["justifications"] == 0
+            assert rep["num_xors"] > 0
+            assert rep["parity_propagations"] == 2 and rep["justifications"] == 0
 
     def test_moved_names_keep_their_import_paths(self):
         from xorcert import bdd, lrat, tbdd

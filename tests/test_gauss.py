@@ -26,6 +26,13 @@ def row_constraint(eng, r):
     return ParityConstraint(vs, eng.phases[r])
 
 
+def add_row_into(eng, src, dst):
+    """Sum row `src` into row `dst`, the single-row form of the engine's
+    set-wise row operation."""
+    assert src != dst, "a row is never summed into itself"
+    eng._add_row_into_set(src, 1 << dst)
+
+
 def origin_of(eng, r):
     """The initial constraints summing to row r, as shadow row r names them."""
     return tuple(bits(eng.shadow[r]))
@@ -81,7 +88,7 @@ class TestRowAlgebra:
     def test_self_sum_asserts(self):
         eng = ParityEngine([ParityConstraint((1,), 1)])
         with pytest.raises(AssertionError):
-            eng.add_row_into(0, 0)
+            add_row_into(eng, 0, 0)
 
     def test_pivot_must_hold_column(self):
         eng = ParityEngine([ParityConstraint((1,), 1), ParityConstraint((2,), 0)])
@@ -95,9 +102,8 @@ class TestRowAlgebra:
         )
         state = lambda: [(eng.rows[r], eng.phases[r], eng.shadow[r]) for r in range(3)]
         base = state()
-        eng.start_watches()
-        eng.on_assign(1, True)
-        eng.on_assign(2, False)
+        eng.scan_all_rows()
+        eng.on_assign([1, -2])
         assert state() == base
         eng.eliminate_column(0, 0)  # sums row 0 into row 1, the only other holder
         now = state()
@@ -115,7 +121,7 @@ class TestRowAlgebra:
         for _ in range(rng.randint(0, 25)):
             if rng.randint(0, 1) and n >= 2:
                 a, b = rng.sample(range(n), 2)
-                eng.add_row_into(a, b)
+                add_row_into(eng, a, b)
             else:
                 r = rng.randrange(n)
                 cols = [c for c in range(len(eng.var_of_col))
@@ -147,7 +153,7 @@ class TestRowAlgebra:
         n = len(eng.rows)
         for _ in range(rng.randint(0, 5)):
             if n >= 2:
-                eng.add_row_into(*rng.sample(range(n), 2))
+                add_row_into(eng, *rng.sample(range(n), 2))
         want = reference_full_reduce(eng)
         eng.full_reduce()
         assert (eng.rows, eng.phases, eng.shadow, eng.pivot_of_row) == want
@@ -213,12 +219,9 @@ class TestFullScanPropagate:
             eng.full_reduce()
         # the engine holds an assignment of its own, which the scan must
         # neither read nor change
-        eng.start_watches()
-        for v in rng.sample(range(1, nvars + 1), rng.randint(0, nvars)):
-            eng.on_assign(v, rng.random() < 0.5)
-        state = lambda: (eng.assigned, eng.true, [list(w) for w in eng.watching],
-                         list(eng.row_watch))
-        before = state()
+        eng.on_assign([v if rng.random() < 0.5 else -v
+                       for v in rng.sample(range(1, nvars + 1), rng.randint(0, nvars))])
+        before = (eng.assigned, eng.true)
         asg = {
             v: rng.random() < 0.5
             for v in range(1, nvars + 1)
@@ -227,7 +230,7 @@ class TestFullScanPropagate:
         for rec in eng.propagate(asg):
             check_record_shape(eng, rec, asg)
             assert implied_by(cons, rec.clause, nvars)
-        assert state() == before, "full scan must not touch propagation state"
+        assert (eng.assigned, eng.true) == before, "full scan must not touch propagation state"
 
     def test_conflict_and_unit_reporting(self):
         cons = [ParityConstraint((1, 2), 1), ParityConstraint((1, 2), 0)]
@@ -244,15 +247,17 @@ class TestFullScanPropagate:
         assert recs == [ReasonRecord((3,), 0b1, PROPAGATION, 0)]
 
 
-def run_watch(cons, order, decisions):
+def run_batch(cons, order, decisions):
+    """Fixpoint as the solver reaches it: each pass hands the engine every
+    literal assigned since the one before."""
     eng = ParityEngine(cons, column_vars=order)
     eng.full_reduce()
-    pending = list(eng.start_watches())
+    recs = eng.scan_all_rows()
     assigned = {}
-    i = 0
+    trail = []
+    head = i = 0
     while True:
-        while pending:
-            rec = pending.pop(0)
+        for rec in recs:
             if rec.kind == CONFLICT:
                 return assigned, rec
             lit = rec.clause[0]
@@ -262,14 +267,17 @@ def run_watch(cons, order, decisions):
                     return assigned, rec
                 continue
             assigned[v] = val
-            pending.extend(eng.on_assign(v, val))
-        if i == len(decisions):
-            return assigned, None
-        v, val = decisions[i]
-        i += 1
-        if v not in assigned:
-            assigned[v] = val
-            pending.extend(eng.on_assign(v, val))
+            trail.append(lit)
+        if head == len(trail):
+            if i == len(decisions):
+                return assigned, None
+            v, val = decisions[i]
+            i += 1
+            if v not in assigned:
+                assigned[v] = val
+                trail.append(v if val else -v)
+        recs = eng.on_assign(trail[head:])
+        head = len(trail)
 
 
 def run_scan(cons, order, decisions):
@@ -302,7 +310,7 @@ def run_scan(cons, order, decisions):
     return assigned, None
 
 
-class TestWatchedPath:
+class TestBatchPath:
     # 70 columns make the column bit sets span two machine words
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([(7, 7), (70, 40)]))
@@ -316,77 +324,52 @@ class TestWatchedPath:
             (v, rng.random() < 0.5)
             for v in rng.sample(range(1, nvars + 1), rng.randint(0, nvars))
         ]
-        a1, c1 = run_watch(cons, order, decisions)
+        a1, c1 = run_batch(cons, order, decisions)
         a2, c2 = run_scan(cons, order, decisions)
         assert (c1 is None) == (c2 is None)
         if c1 is None:
             assert a1 == a2
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_backtracking_keeps_watches_sound(self, seed):
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(6, 6), (70, 40)]))
+    def test_batches_agree_with_full_scan_across_backtracks(self, seed, size):
         rng = random.Random(seed)
-        nvars = 6
-        cons = small_system(rng, nvars=nvars, nrows=6)
-        eng = ParityEngine(cons)
-        eng.full_reduce()
-        init = eng.start_watches()
-        if any(r.kind == CONFLICT for r in init):
-            return
-        forced = {abs(r.clause[0]): r.clause[0] > 0 for r in init}
+        nvars, nrows = size
+        eng = ParityEngine(small_system(rng, nvars=nvars, nrows=nrows))
+        if rng.random() < 0.5:
+            eng.full_reduce()
         trail = []
-        asg = {}
-        # the engine's bit sets before each push, restored to undo it, as
-        # the solver restores them per decision level
+        # per batch, the engine's bit sets and the trail length before it,
+        # restored to undo it, as the solver restores them per decision level
         saved = []
-
-        def push(v, val):
-            trail.append(v)
-            asg[v] = val
-            saved.append((eng.assigned, eng.true))
-            return eng.on_assign(v, val)
-
-        for v, val in forced.items():
-            if any(r.kind == CONFLICT for r in push(v, val)):
-                return
         for _ in range(30):
-            free = [v for v in range(1, nvars + 1) if v not in asg]
-            if trail and (not free or rng.random() < 0.35):
-                cut = rng.randrange(len(trail))
-                eng.assigned, eng.true = saved[cut]
-                for v in trail[cut:]:
-                    del asg[v]
-                del trail[cut:], saved[cut:]
+            free = sorted(set(range(1, nvars + 1)) - {abs(l) for l in trail})
+            if saved and (not free or rng.random() < 0.3):
+                cut = rng.randrange(len(saved))
+                (eng.assigned, eng.true), keep = saved[cut]
+                del trail[keep:], saved[cut:]
                 continue
-            if not free:
-                break
-            v = rng.choice(free)
-            val = rng.random() < 0.5
-            recs = push(v, val)
-            # whatever the watches report must agree with a full scan
-            scan = eng.propagate(asg)
-            scan_conf = any(r.kind == CONFLICT for r in scan)
-            watch_conf = any(r.kind == CONFLICT for r in recs)
-            if watch_conf:
-                assert scan_conf
-                break
-            scan_units = {abs(r.clause[0]) for r in scan if r.kind == PROPAGATION}
-            for r in recs:
-                if r.kind == PROPAGATION:
-                    assert abs(r.clause[0]) in scan_units or scan_conf
-            if scan_conf:
-                break
+            batch = [v if rng.random() < 0.5 else -v
+                     for v in rng.sample(free, rng.randint(1, min(8, len(free))))]
+            saved.append(((eng.assigned, eng.true), len(trail)))
+            trail += batch
+            cols = [eng.col_of[abs(l)] for l in batch if abs(l) in eng.col_of]
+            touched = {r for r, m in enumerate(eng.rows) if any(m >> c & 1 for c in cols)}
+            recs = eng.on_assign(batch)
+            # only the rows holding a column of the batch can change records
+            scan = eng.propagate({abs(l): l > 0 for l in trail})
+            assert recs == [r for r in scan if r.row in touched]
 
 
-class TestStartWatches:
+class TestScanAllRows:
     def test_empty_false_row_conflicts_immediately(self):
         eng = ParityEngine([ParityConstraint((), 1)])
-        recs = eng.start_watches()
+        recs = eng.scan_all_rows()
         assert recs == [ReasonRecord((), 0b1, CONFLICT, 0)]
 
     def test_empty_true_row_is_inert(self):
         eng = ParityEngine([ParityConstraint((), 0)])
-        assert eng.start_watches() == []
+        assert eng.scan_all_rows() == []
 
     def test_duplicate_constraints_cancel(self):
         cons = [ParityConstraint((1, 2), 1)] * 2
@@ -394,4 +377,4 @@ class TestStartWatches:
         eng.full_reduce()
         assert eng.rows[1] == 0
         assert eng.phases[1] == 0
-        assert eng.start_watches() == []
+        assert eng.scan_all_rows() == []

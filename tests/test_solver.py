@@ -13,7 +13,7 @@ from xorcert.gauss import ReasonRecord
 from xorcert.lrat import check, parse_proof
 from xorcert.solver import LIMIT, SAT, UNSAT, Solver, luby
 
-from test_gauss import row_constraint
+from test_gauss import add_row_into, row_constraint
 
 
 def solve_formula(f: CnfFormula, **kw):
@@ -175,9 +175,13 @@ class TestParityReasoning:
         clauses.append((1,))
         f = CnfFormula(4, clauses)
         sink = StringIO()
-        r = Solver(f, proof_sink=sink).solve()
+        s = Solver(f, proof_sink=sink)
+        r = s.solve()
         assert r.status == SAT
-        assert r.parity_propagations >= 1
+        # the scan before search hands over two records: the unit row of the
+        # recovered one-variable XOR a=1, and the summed row, which forces d
+        assert r.parity_propagations == 2
+        assert isinstance(s.reason[4], ReasonRecord)
         assert 4 in r.model
         assert_verified(f, sink.getvalue(), refutation=False)
 
@@ -433,7 +437,7 @@ class TestRowModificationInvalidatesJustificationCache:
         assert s._justify(rec) == pid1
         assert s.writer.adds == adds_after_first, "second call must hit the cache"
         # modify the row; the cached sum must be dropped and rebuilt
-        s.par.add_row_into(1, 0)
+        add_row_into(s.par, 1, 0)
         assert row_constraint(s.par, 0) == ParityConstraint((1, 2), 1)
         rec2 = next(r for r in s.par.propagate({1: True}) if r.row == 0)
         pid2 = s._justify(rec2)
@@ -484,9 +488,10 @@ class TestLazyJustification:
     conflict analysis justifies it the first time it resolves on it."""
 
     def test_unused_reasons_leave_the_clausal_proof(self):
-        # an lpn-xor workload instance: every parity record in its search
-        # finds its literal already true, so nothing is justified and no
-        # XOR BDD is built
+        # an lpn-xor workload instance: clauses set every literal before the
+        # parity engine could force it, so nothing is justified and no XOR
+        # BDD is built; the engine's only records are the two unit rows the
+        # scan before search finds, whose literals are input unit clauses
         inst = gen_lpn(LpnConfig(n=12, bound_offset=True, seed=32013))
         proofs = {}
         for use_xor in (True, False):
@@ -496,7 +501,7 @@ class TestLazyJustification:
             assert r.status == UNSAT
             proofs[use_xor] = sink.getvalue()
             if use_xor:
-                assert r.num_xors > 0 and r.parity_propagations > 0
+                assert r.num_xors > 0 and r.parity_propagations == 2
                 assert (r.ext_vars, r.justifications) == (0, 0)
         assert proofs[True] == proofs[False]
 

@@ -13,7 +13,7 @@ from xorcert.lrat import AddStep, DeleteStep, ProofWriter, Verified, check, pars
 from xorcert import tbdd as tbdd_module
 from xorcert.tbdd import HD, HU, LD, LU, DeadlineExceeded, ProofEngineError, Tbdd, TbddEngine, Unbuilt
 
-from test_bdd import evaluate, plain_and
+from test_bdd import evaluate, plain_and, var
 
 
 class Bench:
@@ -677,7 +677,7 @@ class TestComplementEdges:
         n = bdd.mk_node(1, u2, -u2)
         assert n > 0 and eng._def_cand(-n, HD) == eng._def_cand(n, HU)
         for u in (n, -n):
-            x, hi, lo = bdd.var(u), bdd.hi(u), bdd.lo(u)
+            x, hi, lo = var(bdd, u), bdd.hi(u), bdd.lo(u)
             shapes = {HD: (-u, -x, hi), LD: (-u, x, lo), HU: (u, -x, -hi), LU: (u, x, -lo)}
             for role, shape in shapes.items():
                 cand = eng._def_cand(u, role)
