@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from functools import partial
 from typing import NamedTuple
 
 from .formula import CnfFormula, extract_xors
@@ -263,20 +262,15 @@ class Solver:
         self.par.full_reduce(self._check_time)
 
     def _xor_tbdd(self, i):
-        """Recovered XOR i's Tbdd, proved the first time a sum needs it and
-        cached for later sums."""
+        """Recovered XOR i's canonical parity BDD, proved straight from its
+        own encoding clauses by `TbddEngine.tbdd_from_xor` the first time a
+        sum needs it and cached for later sums.  Every node it creates stays
+        reachable from the root, so nothing is collectable."""
         t = self.xor_tbdds[i]
         if t is None:
-            t = self.xor_tbdds[i] = self._prove_xor(i)
+            self._check_time()
+            t = self.xor_tbdds[i] = self.tb.tbdd_from_xor(self.xors[i])
         return t
-
-    def _prove_xor(self, i):
-        """Recovered XOR i's canonical parity BDD, proved straight from its
-        own encoding clauses by `TbddEngine.tbdd_from_xor`.  Every node it
-        creates stays reachable from the root, so nothing is collectable."""
-        self._check_time()
-        con = self.xors[i]
-        return self.tb.tbdd_from_xor(con, [(cid, self.f.clause(cid)) for cid in con.source_clauses])
 
     def _justify(self, rec):
         """Proof id of a step deriving rec.clause (None without a proof).
@@ -288,9 +282,10 @@ class Solver:
 
         An empty rec.clause (a zero row with odd phase) is the last
         justification: its sum writes the empty clause.  Nothing can reuse
-        that sum's inputs, so each XOR not yet cached goes in `Unbuilt`:
-        `greedy_sum` proves it when first picked, drops it once consumed and
-        collects with no floor, and `xor_tbdds` keeps none of them."""
+        that sum's inputs, so each XOR not yet cached goes in as its bare
+        constraint: `greedy_sum` proves what it needs from the encoding
+        clauses when it first picks it, drops that once consumed and
+        collects with no floor, and `xor_tbdds` keeps none of it."""
         if self.writer is None:
             return None
         pid = self.justified.get(rec.clause)
@@ -299,14 +294,10 @@ class Solver:
         if self.tb is None:
             from .tbdd import TbddEngine
 
-            self.tb = TbddEngine(self.order, self.writer, self.f.num_vars, self._check_time)
+            self.tb = TbddEngine(self.order, self.writer, self.f.num_vars, self.f.clause,
+                                 self._check_time)
         if not rec.clause:
-            from .tbdd import Unbuilt
-
-            summed = self.tb.greedy_sum([
-                self.xor_tbdds[i] or Unbuilt(self.xors[i], partial(self._prove_xor, i))
-                for i in bits(rec.origin)
-            ])
+            summed = self.tb.greedy_sum([self.xor_tbdds[i] or self.xors[i] for i in bits(rec.origin)])
         else:
             ent = self.row_sum.get(rec.row)
             if ent is None or ent[0] != rec.origin:

@@ -12,19 +12,20 @@ root's function is implied by the input formula.
 
 A recovered XOR's canonical parity BDD is proved straight from the XOR's
 encoding clauses, one lemma per prefix of its variables, without building
-a BDD per clause or any conjunction.  Conjunction and implication share
+a BDD per clause or any conjunction; so is the sum of two XORs that share
+one variable, without a BDD of either.  Conjunction and implication share
 one walk over (u, v, w) node triples and one lemma cache: a conjunction
 builds w from the walk, an implication is handed w.  Summing two parity
 constraints is an implication, so it never builds their conjunction: one
 pass proves that the two roots imply the sum's canonical parity BDD w
-directly.
+directly.  A walk lemma whose child lemmas are both trivial takes one step
+when a two-literal defining clause fixes its level's variable, else two.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 from .bdd import _LEVEL_TERM, T0, T1, TRUE_SENTINEL, Bdd
 from .formula import ParityConstraint
@@ -66,6 +67,10 @@ def _clean(lits):
     return tuple(out)
 
 
+def _width(cand):
+    return len(cand[1])
+
+
 @dataclass
 class Tbdd:
     """Trusted BDD: root handle plus the unit step asserting it.
@@ -81,20 +86,14 @@ class Tbdd:
     dropped: bool = field(default=False, compare=False)
 
 
-class Unbuilt(NamedTuple):
-    """An input of `TbddEngine.greedy_sum` not yet proved: its constraint,
-    and the call that proves its Tbdd when the sum first picks it.  The sum
-    owns what `build` returns and drops it once consumed."""
-
-    constraint: ParityConstraint
-    build: Callable[[], Tbdd]
-
-
 class TbddEngine:
-    def __init__(self, order, writer, num_input_vars: int, check_time=None):
-        """check_time, if given, is called before each sum of `greedy_sum`
-        and raises DeadlineExceeded once the deadline has passed."""
+    def __init__(self, order, writer, num_input_vars: int, input_clause, check_time=None):
+        """input_clause maps an input clause's proof id to its literals; it
+        is how `tbdd_from_xor` reads a constraint's `source_clauses`.
+        check_time, if given, is called before each sum of `greedy_sum` and
+        raises DeadlineExceeded once the deadline has passed."""
         self.writer = writer
+        self.input_clause = input_clause
         self.num_input_vars = num_input_vars
         self.check_time = check_time
         # node -> its (id, clause) defining steps by slot HD, LD, HU, LU;
@@ -235,24 +234,66 @@ class TbddEngine:
         b.ref(rest)
         return Tbdd(rest, uid)
 
-    def tbdd_from_xor(self, con: ParityConstraint, clauses) -> Tbdd:
-        """Trusted canonical parity BDD of `con`, proved from its encoding
-        `clauses`, given as (proof id, literals) pairs.
+    def tbdd_from_xor(self, con: ParityConstraint, other: ParityConstraint | None = None) -> Tbdd:
+        """Trusted canonical parity BDD of `con`, or of the sum of `con` and
+        `other` when they share exactly one variable y, proved straight from
+        the encoding clauses their `source_clauses` name.  Neither input's
+        BDD is built.
 
-        For each prefix s of con's variables in BDD order, the lemma
+        For each prefix s of the result's variables in BDD order, the lemma
         [-s, n] says that s implies the node n it reaches.  Above the
         bottom level, with n = ite(x, h, l), it takes two steps: [-s, -x, n]
         from n's HU clause and the lemma of s+x, then [-s, n] from that
         step, n's LU clause and the lemma of s-x.  A bottom lemma is never
         emitted, only inlined as hints: a false bottom node fixes its
-        variable the wrong way, and the input clause blocking that full
-        assignment conflicts.  The empty prefix's lemma is the root unit:
-        2^k - 2 steps for arity k >= 2, one for k == 1.  All other lemmas
-        are deleted.  Clauses that do not encode `con` raise
-        ProofEngineError."""
-        assert con.vars, "an empty constraint has no encoding"
+        variable the wrong way, and the full assignment then falsifies the
+        result.  For one XOR, the clause blocking that assignment
+        conflicts; for a pair, the clause of `con` blocking it forces y, and
+        a clause of `other` conflicts.  The empty prefix's lemma is the root
+        unit: 2^k - 2 steps for a result of arity k >= 2, one for k == 1.
+        All other lemmas are deleted.  Two units on one variable sum to the
+        empty constraint: T1 with no step for phase 0, else the empty clause
+        from the two units.  Clauses that do not encode their constraint
+        raise ProofEngineError naming it."""
         b = self.bdd
-        blocking = {frozenset(cl): (cid, tuple(cl)) for cid, cl in clauses}
+        sides = (con,) if other is None else (con, other)
+        blocking = []  # per side: its encoding clauses by literal set
+        for c in sides:
+            cls = {}
+            for cid in c.source_clauses:
+                cl = self.input_clause(cid)
+                cls[frozenset(cl)] = (cid, cl)
+            blocking.append(cls)
+
+        def blocker(k, assignment):
+            cand = blocking[k].get(frozenset(-lit for lit in assignment))
+            if cand is None:
+                raise ProofEngineError(
+                    f"{sides[k]} has no encoding clause blocking {sorted(assignment, key=abs)}")
+            return cand
+
+        if other is None:
+            if not con.vars:
+                # raised, not asserted, so that `python -O` keeps the check
+                raise ProofEngineError(f"{con} is empty and has no encoding")
+            total = con
+
+            def refute(full):
+                return [blocker(0, full)]
+        else:
+            shared = set(con.vars) & set(other.vars)
+            if len(shared) != 1:
+                raise ProofEngineError(f"{con} and {other} do not share exactly one variable")
+            (y,) = shared
+            total = con.combine(other)
+
+            def refute(full):
+                # the value of y that falsifies con under `full`
+                on_con = [lit for lit in full if abs(lit) in con.vars]
+                odd = sum(lit > 0 for lit in on_con) & 1
+                y_bad = y if odd == con.phase else -y
+                on_other = [lit for lit in full if abs(lit) not in con.vars]
+                return [blocker(0, on_con + [y_bad]), blocker(1, on_other + [-y_bad])]
 
         def lemma(s, n):
             # hint candidates for [-s, n]: the refutation of s AND NOT n at
@@ -260,10 +301,9 @@ class TbddEngine:
             lvl, h, l = b.node(n)
             x = b.var_at[lvl]
             if b.is_terminal(h):
-                # NOT n sets x against the parity; the clause blocking the
-                # full assignment then conflicts
-                key = frozenset([-lit for lit in s] + [x if h == T1 else -x])
-                return [self._def_cand(n, HU), self._def_cand(n, LU), blocking.get(key)]
+                # NOT n sets x against the parity
+                return [self._def_cand(n, HU), self._def_cand(n, LU),
+                        *refute(list(s) + [-x if h == T1 else x])]
             neg = tuple(-lit for lit in s)
             hi_clause = neg + (-x, n)
             step_h = self._emit_rup(hi_clause, [self._def_cand(n, HU), *lemma(s + (x,), h)])
@@ -275,8 +315,10 @@ class TbddEngine:
             self.pending_deletes.append(lid)
             return [(lid, neg + (n,))]
 
-        root = b.parity_bdd(con.vars, con.phase)
-        return self._assert_root(root, lemma((), root), con)
+        root = b.parity_bdd(total.vars, total.phase)
+        if root == T1:
+            return Tbdd(T1, 0, total)
+        return self._assert_root(root, lemma((), root) if total.vars else refute([]), total)
 
     # -- conjunction and implication -----------------------------------------
 
@@ -290,8 +332,11 @@ class TbddEngine:
         internal solver bug.
 
         Walks (u, v, w) triples top-down on an explicit stack, each triple's
-        hi subtree, then its lo subtree, then its two lemmas, as a recursion
+        hi subtree, then its lo subtree, then its lemma, as a recursion
         would, so the depth of a BDD is not bounded by Python's stack.  A
+        lemma is a hi step [-x, -u, -v, w] and the lemma itself, or one step
+        when both child lemmas are trivial and a two-literal defining clause
+        of an operand fixes x.  A
         conjunction makes each triple's w from its children's and memoises
         (u, v) -> (w, cand) for the call.  Lemmas of both modes are cached
         as (min(u, v), max(u, v), w).  Each triple reads each operand's
@@ -358,27 +403,31 @@ class TbddEngine:
             key = (u, v, w) if u < v else (v, u, w)
             target = _clean((-u, -v, w))
             if target is not None and key not in cache:
-                hi_clause = _clean((-x, -u, -v, w))
-                step_h = self._emit_rup(
-                    hi_clause,
-                    [
-                        self._def_cand(u, HD) if u_at else None,
-                        self._def_cand(v, HD) if v_at else None,
-                        hi_cand,
-                        self._def_cand(w, HU) if w_at else None,
-                    ],
-                )
-                jid = self._emit_rup(
-                    target,
-                    [
-                        (step_h, hi_clause),
-                        self._def_cand(u, LD) if u_at else None,
-                        self._def_cand(v, LD) if v_at else None,
-                        lo_cand,
-                        self._def_cand(w, LU) if w_at else None,
-                    ],
-                )
-                self.pending_deletes.append(step_h)
+                hi = [
+                    self._def_cand(u, HD) if u_at else None,
+                    self._def_cand(v, HD) if v_at else None,
+                    hi_cand,
+                    self._def_cand(w, HU) if w_at else None,
+                ]
+                lo = [
+                    self._def_cand(u, LD) if u_at else None,
+                    self._def_cand(v, LD) if v_at else None,
+                    lo_cand,
+                    self._def_cand(w, LU) if w_at else None,
+                ]
+                defs = None
+                if hi_cand is None and lo_cand is None:
+                    defs = sorted((c for c in hi + lo if c is not None), key=_width)
+                if defs and len(defs[0][1]) == 2:
+                    # both child lemmas are trivial and a two-literal
+                    # definition fixes x: the definitions of the other side
+                    # close the lemma in one step
+                    jid = self._emit_rup(target, defs)
+                else:
+                    hi_clause = _clean((-x, -u, -v, w))
+                    step_h = self._emit_rup(hi_clause, hi)
+                    jid = self._emit_rup(target, [(step_h, hi_clause), *lo])
+                    self.pending_deletes.append(step_h)
                 cache[key] = jid
             cand = None if target is None else (cache[key], target)
             if build:
@@ -446,7 +495,33 @@ class TbddEngine:
         _, cand = self._and_imply_j(a.root, b.root, w)
         return self._assert_root(w, [self._unit_cand(a), self._unit_cand(b), cand], pc)
 
-    def greedy_sum(self, tbdds) -> Tbdd:
+    def _sum_pick(self, a, b) -> Tbdd:
+        """The sum of two items that `greedy_sum` picked, each a Tbdd or a
+        bare constraint not yet proved.  Two bare constraints of arities ka
+        and kb that share exactly one variable are summed straight from
+        their encoding clauses, unless the sum's prefix chain, 2^(ka+kb-2)
+        steps, is longer than the 2^k chain steps and about 4k node
+        definitions that proving each input alone writes before the walk
+        (for arities up to 6, when ka + kb >= 9).  Any other bare input is
+        proved, summed and dropped."""
+        a_bare = a.__class__ is ParityConstraint
+        b_bare = b.__class__ is ParityConstraint
+        if a_bare and b_bare and len(set(a.vars) & set(b.vars)) == 1:
+            ka, kb = a.arity, b.arity
+            if 1 << (ka + kb - 2) <= (1 << ka) + (1 << kb) + 4 * (ka + kb):
+                return self.tbdd_from_xor(a, b)
+        if a_bare:
+            a = self.tbdd_from_xor(a)
+        if b_bare:
+            b = self.tbdd_from_xor(b)
+        s = self.tbdd_xor_sum(a, b)
+        if a_bare:
+            self.drop(a)
+        if b_bare:
+            self.drop(b)
+        return s
+
+    def greedy_sum(self, items) -> Tbdd:
         """Fold constraints by repeatedly summing, among the pairs of live
         items that share a variable, the one with the smallest symmetric
         difference; ties break on lowest position pair.  When no two live
@@ -456,16 +531,19 @@ class TbddEngine:
         variable -> live positions index, and stale pairs are dropped as
         they reach the top.  Each sum first checks the deadline.
 
-        An input is a Tbdd, which the caller keeps, or `Unbuilt`, which is
-        built when a sum first picks it.  Built inputs and intermediate sums
-        are dropped as soon as a sum consumes them.  Unbuilt inputs mark the
-        sum that closes the proof, whose garbage no later sum reuses: it
-        collects with no GC_MIN_GROWTH floor."""
-        assert tbdds
-        items: dict[int, Tbdd | Unbuilt] = dict(enumerate(tbdds))
-        floor = 0 if any(t.__class__ is Unbuilt for t in tbdds) else None
-        owned = set()  # positions of the items this call built
-        sup = {i: frozenset(t.constraint.vars) for i, t in items.items()}
+        An input is a Tbdd, which the caller keeps, or a bare
+        ParityConstraint, proved from its encoding clauses by the sum that
+        picks it (`_sum_pick`), which builds no BDD of it at all when the
+        other input is bare too and shares one variable with it.
+        Intermediate sums are dropped as soon as a sum consumes them.  Bare
+        inputs mark the sum that closes the proof, whose garbage no later
+        sum reuses: it collects with no GC_MIN_GROWTH floor."""
+        assert items
+        n_inputs = len(items)
+        floor = 0 if any(t.__class__ is ParityConstraint for t in items) else None
+        items = dict(enumerate(items))
+        sup = {i: frozenset(t.vars if t.__class__ is ParityConstraint else t.constraint.vars)
+               for i, t in items.items()}
         holders: dict[int, set[int]] = {}
         for i, vs in sup.items():
             for x in vs:
@@ -476,7 +554,7 @@ class TbddEngine:
                 if j > i:
                     heap.append((len(vs ^ sup[j]), i, j))
         heapq.heapify(heap)
-        next_pos = len(tbdds)
+        next_pos = n_inputs
         while len(items) > 1:
             if self.check_time is not None:
                 self.check_time()
@@ -486,22 +564,18 @@ class TbddEngine:
                 _, i, j = heapq.heappop(heap)
             else:
                 i, j = heapq.nsmallest(2, items)
-            for k in (i, j):
-                if items[k].__class__ is Unbuilt:
-                    items[k] = items[k].build()
-                    owned.add(k)
-            s = self.tbdd_xor_sum(items[i], items[j])
+            s = self._sum_pick(items[i], items[j])
             for k in (i, j):
                 t = items.pop(k)
                 for x in sup.pop(k):
                     holders[x].discard(k)
-                if k in owned:
+                if k >= n_inputs:
                     self.drop(t)
             if s.root == T0:
                 # contradiction already yields the empty clause; summing
                 # further would append past it
                 for k, t in items.items():
-                    if k in owned:
+                    if k >= n_inputs:
                         self.drop(t)
                 self.flush_deletes()
                 return s
@@ -513,10 +587,9 @@ class TbddEngine:
             for x in vs:
                 holders[x].add(pos)
             items[pos] = s
-            owned.add(pos)
             self.maybe_collect(floor)
         (_, last), = items.items()
-        return last.build() if last.__class__ is Unbuilt else last
+        return self.tbdd_from_xor(last) if last.__class__ is ParityConstraint else last
 
     # -- lifetime ------------------------------------------------------------
 

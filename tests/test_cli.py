@@ -340,7 +340,8 @@ class TestEngineFailures:
 
 
 # Run under `python -O`, which strips assert statements: a search that ends
-# on an assignment missing clause 1, and a step written after the empty
+# on an assignment missing clause 1, a double drop, an XOR proved from
+# clauses that lack one of its encoding, and a step written after the empty
 # clause, must still fail.
 OPTIMIZED_FAILURES = {
     "bad-model": (
@@ -359,7 +360,7 @@ OPTIMIZED_FAILURES = {
         "from xorcert.solver import SAT, Solver\n"
         "from xorcert.tbdd import T1, Tbdd, TbddEngine\n"
         "def search(self):\n"
-        "    tb = TbddEngine(self.order, self.writer, self.f.num_vars)\n"
+        "    tb = TbddEngine(self.order, self.writer, self.f.num_vars, self.f.clause)\n"
         "    t = Tbdd(T1, 0)\n"
         "    tb.drop(t)\n"
         "    tb.drop(t)\n"
@@ -369,6 +370,22 @@ OPTIMIZED_FAILURES = {
         "Solver._search = search\n"
         "sys.exit(cli.main(sys.argv[1:]))\n",
         "error: ProofEngineError: double drop of the Tbdd rooted at 1000000000\n",
+    ),
+    "missing-encoding-clause": (
+        "import io\n"
+        "from xorcert import cli\n"
+        "from xorcert.formula import ParityConstraint\n"
+        "from xorcert.lrat import ProofWriter\n"
+        "from xorcert.solver import Solver\n"
+        "from xorcert.tbdd import TbddEngine\n"
+        "def search(self):\n"
+        "    w = ProofWriter(io.StringIO(), self.f.num_clauses)\n"
+        "    tb = TbddEngine(self.order, w, self.f.num_vars, self.f.clause)\n"
+        "    tb.tbdd_from_xor(ParityConstraint((1, 2), 1, (1,)))\n"
+        "Solver._search = search\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n",
+        "error: ProofEngineError: ParityConstraint(vars=(1, 2), phase=1, source_clauses=(1,)) "
+        "has no encoding clause blocking [1, 2]\n",
     ),
     "step-after-empty": (
         "import io\n"

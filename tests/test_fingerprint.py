@@ -19,9 +19,9 @@ _spec.loader.exec_module(fingerprint)
 
 LINE = re.compile(
     r"default-order/(?P<name>\S+) status=UNSAT conflicts=\d+ decisions=\d+ "
-    r"propagations=\d+ parity_propagations=\d+ proof_adds=[1-9]\d* justifications=\d+ "
-    r"ext_vars=\d+ peak_bdd_nodes=\d+ gc_collections=\d+ check=verified "
-    r"proof_sha256=[0-9a-f]{64} add_digest=[0-9a-f]{64}"
+    r"propagations=\d+ parity_propagations=\d+ proof_adds=[1-9]\d* proof_deletes=\d+ "
+    r"justifications=\d+ ext_vars=\d+ peak_bdd_nodes=\d+ gc_collections=\d+ check=verified "
+    r"proof_bytes=[1-9]\d* proof_sha256=[0-9a-f]{64} add_digest=[0-9a-f]{64}"
 )
 
 

@@ -231,9 +231,9 @@ class TestParityReasoning:
     def test_closing_sum_holds_only_live_nodes(self, monkeypatch):
         # urq m=9 seed 10 is the m=9 instance of the benchmark's urq-refute
         # workload at workload seed 1.  Its one justification is the sum
-        # that writes the empty clause: each input XOR's BDD is built when
-        # the sum picks it and dropped once consumed, and garbage is
-        # collected with no floor.  Holding every input and a 10,000-node
+        # that writes the empty clause: each input XOR is proved only when
+        # the sum picks it, no BDD of it outlives the sum that consumes it,
+        # and garbage is collected with no floor.  Holding every input and a 10,000-node
         # floor of garbage, the table peaked at 17,847 nodes.
         inst = gen_urquhart(UrqConfig(m=9, seed=10))
         sink = StringIO()
@@ -247,6 +247,18 @@ class TestParityReasoning:
             m.setattr(tbdd.TbddEngine, "maybe_collect", never_collect)
             plain = Solver(inst.formula, proof_sink=StringIO()).solve()
         assert plain.gc_collections == 0 and plain.proof_adds == r.proof_adds
+
+    def test_closing_sum_proves_input_pairs_from_their_clauses(self):
+        # urq m=5 seed 6 is the m=5 instance of the benchmark's urq-refute
+        # workload at workload seed 1.  Pairs of inputs not yet proved are
+        # summed straight from their clauses, and walk lemmas whose child
+        # lemmas are trivial take one step: the proof had 26,379 adds when
+        # each input's BDD was proved before every sum
+        inst = gen_urquhart(UrqConfig(m=5, seed=6))
+        sink = StringIO()
+        r = Solver(inst.formula, proof_sink=sink).solve()
+        assert r.status == UNSAT and r.proof_adds <= 21_000
+        assert_verified(inst.formula, sink.getvalue())
 
     def test_search_time_sums_keep_their_inputs(self):
         # default-order lpn n=6 seed 8 justifies parity reasons during

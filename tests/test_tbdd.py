@@ -3,15 +3,18 @@ import heapq
 import io
 import itertools
 import random
+import re
 import types
 
 import pytest
 
 from xorcert.bdd import T0, T1
+from xorcert.benchgen import UrqConfig, gen_urquhart
 from xorcert.formula import CnfFormula, ParityConstraint, xor_encoding_clauses
 from xorcert.lrat import AddStep, DeleteStep, ProofWriter, Verified, check, parse_proof
 from xorcert import tbdd as tbdd_module
-from xorcert.tbdd import HD, HU, LD, LU, DeadlineExceeded, ProofEngineError, Tbdd, TbddEngine, Unbuilt
+from xorcert.solver import UNSAT, Solver
+from xorcert.tbdd import HD, HU, LD, LU, DeadlineExceeded, ProofEngineError, Tbdd, TbddEngine
 
 from test_bdd import evaluate, plain_and, var
 
@@ -23,7 +26,8 @@ class Bench:
         self.f = f
         self.buf = io.StringIO()
         self.writer = ProofWriter(self.buf, f.num_clauses)
-        self.engine = TbddEngine(order or list(range(1, f.num_vars + 1)), self.writer, f.num_vars)
+        self.engine = TbddEngine(order or list(range(1, f.num_vars + 1)), self.writer, f.num_vars,
+                                 f.clause)
 
     def verify(self, refutation=False):
         res = check(self.f, parse_proof(self.buf.getvalue()), refutation=refutation)
@@ -303,8 +307,14 @@ def xor_bench(p: ParityConstraint, nv: int, order=None, clauses=None) -> Bench:
     return Bench(CnfFormula(nv, clauses or xor_encoding_clauses(p)), order)
 
 
+def sourced(p: ParityConstraint, first: int, count: int) -> ParityConstraint:
+    """p with source clauses first .. first + count - 1."""
+    return ParityConstraint(p.vars, p.phase, tuple(range(first, first + count)))
+
+
 def from_xor(bench, p: ParityConstraint) -> Tbdd:
-    return bench.engine.tbdd_from_xor(p, enumerate(bench.f.clauses, start=1))
+    """p proved from all of the bench's clauses."""
+    return bench.engine.tbdd_from_xor(sourced(p, 1, bench.f.num_clauses))
 
 
 class TestFromXor:
@@ -316,6 +326,7 @@ class TestFromXor:
                     nv = k + 2
                     p = ParityConstraint(tuple(sorted(rng.sample(range(1, nv + 1), k))), phase)
                     bench = xor_bench(p, nv, rng.sample(range(1, nv + 1), nv))
+                    p = sourced(p, 1, bench.f.num_clauses)
                     t = from_xor(bench, p)
                     assert t.constraint == p
                     assert t.root == bench.engine.bdd.parity_bdd(p.vars, p.phase)
@@ -350,6 +361,101 @@ class TestFromXor:
                 bench = xor_bench(p, k, rng.sample(range(1, k + 1), k), bad)
                 with pytest.raises(ProofEngineError):
                     from_xor(bench, p)
+
+
+def pair_bench(p: ParityConstraint, q: ParityConstraint, nv: int, order=None):
+    """A bench whose formula is p's encoding then q's, and p and q sourced
+    from it."""
+    cp, cq = xor_encoding_clauses(p), xor_encoding_clauses(q)
+    bench = Bench(CnfFormula(nv, cp + cq), order)
+    return bench, sourced(p, 1, len(cp)), sourced(q, 1 + len(cp), len(cq))
+
+
+def random_pair(rng, ka, kb):
+    """Two constraints of arities ka and kb sharing exactly one variable,
+    over ka + kb variables (one of them in neither)."""
+    nv = ka + kb
+    y, *rest = rng.sample(range(1, nv + 1), ka + kb - 1)
+    p = ParityConstraint(tuple(sorted([y] + rest[:ka - 1])), rng.randint(0, 1))
+    q = ParityConstraint(tuple(sorted([y] + rest[ka - 1:])), rng.randint(0, 1))
+    return p, q, nv
+
+
+class TestFromXorPair:
+    def test_root_is_the_sum_and_no_input_is_built(self):
+        rng = random.Random(43)
+        for ka, kb in itertools.product(range(1, 4), repeat=2):
+            for pa, pb in itertools.product((0, 1), repeat=2):
+                p, q, nv = random_pair(rng, ka, kb)
+                p, q = p._replace(phase=pa), q._replace(phase=pb)
+                bench, p, q = pair_bench(p, q, nv, rng.sample(range(1, nv + 1), nv))
+                eng = bench.engine
+                t = eng.tbdd_from_xor(p, q)
+                want = p.combine(q)
+                assert t.constraint == want
+                assert t.root == eng.bdd.parity_bdd(want.vars, want.phase)
+                # the sum's own nodes are the only ones built
+                assert eng.bdd.created_total == want.arity
+                steps = parse_proof(bench.buf.getvalue())
+                hinted = [st for st in steps if isinstance(st, AddStep) and st.hints]
+                assert len(hinted) <= max(1, 2 ** want.arity - 1)
+                bench.verify()
+
+    def test_missing_clause_raises_naming_its_constraint(self):
+        # flipping the first literal of one encoding clause leaves its input
+        # without the clause blocking some assignment.  A unit input fixes
+        # the shared variable, so the half of the other input's clauses
+        # that block the unit's own wrong value are never read; every other
+        # clause is
+        rng = random.Random(47)
+        for ka, kb in itertools.product(range(1, 4), repeat=2):
+            p, q, nv = random_pair(rng, ka, kb)
+            cp, cq = xor_encoding_clauses(p), xor_encoding_clauses(q)
+            unneeded = 0
+            for i in range(len(cp) + len(cq)):
+                cls = cp + cq
+                cls[i] = (-cls[i][0],) + cls[i][1:]
+                bench = Bench(CnfFormula(nv, cls), rng.sample(range(1, nv + 1), nv))
+                sp, sq = sourced(p, 1, len(cp)), sourced(q, 1 + len(cp), len(cq))
+                bad, other = (sp, sq) if i < len(cp) else (sq, sp)
+                with pytest.raises(ProofEngineError, match=re.escape(f"{bad} has no encoding clause")):
+                    bench.engine.tbdd_from_xor(bad)
+                try:
+                    bench.engine.tbdd_from_xor(sp, sq)
+                except ProofEngineError as e:
+                    assert str(e).startswith(f"{bad} has no encoding clause")
+                else:
+                    assert other.arity == 1
+                    unneeded += 1
+            if ka == kb == 1:
+                # equal units sum to 0 = 0, which needs no clause
+                assert unneeded == (2 if p.phase == q.phase else 0)
+            else:
+                assert unneeded == (len(cp) // 2 if kb == 1 else len(cq) // 2 if ka == 1 else 0)
+
+    def test_units_on_one_variable(self):
+        # opposite units sum to 0 = 1: the empty clause, from the two units
+        bench, p, q = pair_bench(ParityConstraint((1,), 1), ParityConstraint((1,), 0), 1)
+        t = bench.engine.tbdd_from_xor(p, q)
+        assert t.root == T0 and t.unit_id > 0 and t.constraint == ParityConstraint((), 1)
+        assert bench.engine.bdd.num_nodes() == 0
+        bench.verify(refutation=True)
+        # equal units sum to 0 = 0: trivially true, with no step
+        bench, p, q = pair_bench(ParityConstraint((1,), 1), ParityConstraint((1,), 1), 1)
+        t = bench.engine.tbdd_from_xor(p, q)
+        assert (t.root, t.unit_id, t.constraint) == (T1, 0, ParityConstraint((), 0))
+        assert bench.writer.adds == 0
+
+    def test_empty_or_unpaired_inputs_raise(self):
+        bench, p, q = pair_bench(ParityConstraint((1, 2), 1), ParityConstraint((1, 2), 0), 3)
+        r = ParityConstraint((3,), 1)
+        with pytest.raises(ProofEngineError, match="share exactly one"):
+            bench.engine.tbdd_from_xor(p, q)
+        with pytest.raises(ProofEngineError, match="share exactly one"):
+            bench.engine.tbdd_from_xor(p, r)
+        with pytest.raises(ProofEngineError, match="empty"):
+            bench.engine.tbdd_from_xor(ParityConstraint((), 1))
+        assert bench.writer.adds == 0
 
 
 class TestXorSum:
@@ -403,6 +509,21 @@ class TestXorSum:
             assert eng.bdd.created_total - created <= k
             bench.verify(refutation=s.root == T0)
 
+    def test_trivial_children_close_in_one_step(self):
+        # x1 = 1 plus x1 ^ x2 = 0 gives x2 = 1.  The walk's one triple sits
+        # at x1: its hi child lemma is trivial and x1's unit node has a
+        # two-literal definition, so the lemma is a single step, where a hi
+        # step and the lemma made two; the sum writes 2 steps, not 3
+        ps = [ParityConstraint((1,), 1), ParityConstraint((1, 2), 0)]
+        bench, p, q = pair_bench(*ps, 2)
+        eng = bench.engine
+        ta, tb = eng.tbdd_from_xor(p), eng.tbdd_from_xor(q)
+        before = bench.writer.adds
+        s = eng.tbdd_xor_sum(ta, tb)
+        assert s.constraint == ParityConstraint((2,), 1)
+        assert bench.writer.adds - before == 2
+        bench.verify()
+
     def test_wrong_phase_target_raises(self):
         ps = [ParityConstraint((1, 2, 3), 1), ParityConstraint((3, 4), 0)]
         bench, ts = xor_system_bench(ps, 4)
@@ -423,7 +544,88 @@ class TestXorSum:
         bench.verify()
 
 
+def reference_schedule(items):
+    """The pairs `greedy_sum` sums, by plain search over (variable set,
+    phase) items: among live items that share a variable, the pair of
+    smallest symmetric difference, lowest positions on ties, else the two
+    lowest positions.  A sum is a new item, and one reaching 0 = 1 ends the
+    schedule."""
+    live = dict(enumerate(items))
+    overlap = {}  # live pairs that share a variable -> symmetric difference
+
+    def enter(j):
+        for i in live:
+            if i < j and live[i][0] & live[j][0]:
+                overlap[i, j] = len(live[i][0] ^ live[j][0])
+
+    for j in list(live):
+        enter(j)
+    pos = len(items)
+    picks = []
+    while len(live) > 1:
+        if overlap:
+            i, j = min(overlap, key=lambda ij: (overlap[ij], ij))
+        else:
+            i, j = sorted(live)[:2]
+        (vi, pi), (vj, pj) = live.pop(i), live.pop(j)
+        picks.append((vi, vj))
+        overlap = {ij: d for ij, d in overlap.items() if i not in ij and j not in ij}
+        if vi == vj and pi != pj:
+            break
+        live[pos] = (vi ^ vj, pi ^ pj)
+        enter(pos)
+        pos += 1
+    return picks
+
+
 class TestGreedySum:
+    def test_wide_bare_pairs_are_walked(self):
+        # two bare XORs sharing one variable: arities 3 and 5 are summed
+        # from their clauses, 4 and 5 proved alone and walked, as their
+        # sum's 2^7 - 2 step chain would be the longer proof
+        for ka, want in ((3, [[0, 1]]), (4, [[0], [1]])):
+            ps = [ParityConstraint(tuple(range(1, ka + 1)), 1),
+                  ParityConstraint(tuple(range(ka, ka + 5)), 0)]
+            bench, p, q = pair_bench(*ps, ka + 4)
+            eng = bench.engine
+            proved = []
+            from_xor = eng.tbdd_from_xor
+
+            def logged(*cons):
+                proved.append([(p, q).index(c) for c in cons])
+                return from_xor(*cons)
+
+            eng.tbdd_from_xor = logged
+            s = eng.greedy_sum([p, q])
+            assert proved == want
+            assert s.constraint == p.combine(q)
+            bench.verify()
+
+    def test_schedule_matches_plain_greedy_on_urquhart(self, monkeypatch):
+        # the schedule depends on supports alone, not on whether an input
+        # comes as a Tbdd or bare, nor on how a pair is proved
+        def con(t):
+            return t if isinstance(t, ParityConstraint) else t.constraint
+
+        calls = []  # per greedy_sum call: its inputs, then its picks
+        greedy, pick = TbddEngine.greedy_sum, TbddEngine._sum_pick
+
+        def logged_greedy(self, items):
+            calls.append(([con(t) for t in items], []))
+            return greedy(self, items)
+
+        def logged_pick(self, a, b):
+            calls[-1][1].append((frozenset(con(a).vars), frozenset(con(b).vars)))
+            return pick(self, a, b)
+
+        monkeypatch.setattr(TbddEngine, "greedy_sum", logged_greedy)
+        monkeypatch.setattr(TbddEngine, "_sum_pick", logged_pick)
+        inst = gen_urquhart(UrqConfig(m=5, seed=1))
+        assert Solver(inst.formula, proof_sink=io.StringIO()).solve().status == UNSAT
+        assert calls and sum(len(picks) for _, picks in calls) > 100
+        for inputs, picks in calls:
+            assert picks == reference_schedule([(frozenset(c.vars), c.phase) for c in inputs])
+
     def test_chain_cancellation(self):
         rng = random.Random(17)
         for trial in range(10):
@@ -611,9 +813,9 @@ class TestLifetimeAndGc:
         assert eng.gc_collections == len(log)
         bench.verify()
 
-    def test_unbuilt_inputs_are_built_when_picked_and_dropped(self):
+    def test_bare_inputs_are_proved_when_picked_and_dropped(self):
         # a cycle whose parities sum to 0 = 1; input 0 is a Tbdd the caller
-        # keeps, the others are unbuilt and belong to the sum
+        # keeps, the others are bare constraints that belong to the sum
         ps = [
             ParityConstraint((1, 2), 1),
             ParityConstraint((2, 3), 0),
@@ -624,25 +826,21 @@ class TestLifetimeAndGc:
         bench = Bench(CnfFormula(4, [cl for cls in clauses for cl in cls]))
         eng = bench.engine
         first = [1 + sum(map(len, clauses[:k])) for k in range(len(ps))]
-        built = []
+        ps = [sourced(p, first[k], len(clauses[k])) for k, p in enumerate(ps)]
+        proved = []  # per tbdd_from_xor call, the inputs it starts from
+        from_xor = eng.tbdd_from_xor
 
-        def build(k):
-            built.append(k)
-            return eng.tbdd_from_xor(ps[k], enumerate(clauses[k], start=first[k]))
+        def logged(*cons):
+            proved.append([ps.index(c) for c in cons])
+            return from_xor(*cons)
 
-        at_sum = []
-        xor_sum = eng.tbdd_xor_sum
-
-        def logged(a, b):
-            at_sum.append(list(built))
-            return xor_sum(a, b)
-
-        eng.tbdd_xor_sum = logged
-        kept = build(0)
-        s = eng.greedy_sum([kept] + [Unbuilt(ps[k], functools.partial(build, k))
-                                     for k in range(1, len(ps))])
+        eng.tbdd_from_xor = logged
+        kept = eng.tbdd_from_xor(ps[0])
+        s = eng.greedy_sum([kept] + ps[1:])
         assert s.root == T0
-        assert at_sum == [[0, 1], [0, 1, 2, 3], [0, 1, 2, 3]]
+        # input 1 is proved alone to meet the kept input; 2 and 3 share
+        # variable 4 and are summed straight from their clauses
+        assert proved == [[0], [1], [2, 3]]
         # the floor would keep this sum's few nodes; with no floor they go
         assert eng.gc_collections > 0
         assert not kept.dropped

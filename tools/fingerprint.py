@@ -10,10 +10,11 @@ Each instance is solved by `xorcert solve` in a child process, run from the
 sources in --src (default: this checkout's), with a proof file and a JSON
 report; an UNSAT proof is then checked by `xorcert check` from the same
 sources.  One line per instance gives its name, the report's search and
-proof counters (ext_vars counts the BDD nodes created, each one extension
-variable), the check's verdict, the sha256 of the proof file and an
-add-step digest: the sha256 of the add steps alone, their ids renumbered
-consecutively after the input clauses and their hints remapped to match.
+proof counters (proof_deletes counts the ids deleted; ext_vars counts the
+BDD nodes created, each one extension variable), the check's verdict, the
+size in bytes and the sha256 of the proof file, and an add-step digest:
+the sha256 of the add steps alone, their ids renumbered consecutively
+after the input clauses and their hints remapped to match.
 Delete steps take ids too, so a change that moves only deletions changes
 the proof's sha256 but keeps its add-step digest.
 
@@ -46,7 +47,8 @@ SEED = 1
 DEFAULT_ORDER = ("lpn:6:8:unsat", "lpn:14:77:unsat", "lpn:16:2:unsat", "urq:8:8")
 FIELDS = (
     "status", "conflicts", "decisions", "propagations", "parity_propagations",
-    "proof_adds", "justifications", "ext_vars", "peak_bdd_nodes", "gc_collections",
+    "proof_adds", "proof_deletes", "justifications", "ext_vars", "peak_bdd_nodes",
+    "gc_collections",
 )
 TIMEOUT_S = 600
 
@@ -109,7 +111,7 @@ def fingerprint(label, inst, use_xor, src, workdir) -> str:
         data = fh.read()
     counters = " ".join(f"{k}={rep[k]}" for k in FIELDS)
     return (f"{label}/{inst.name} {counters} check={verdict} "
-            f"proof_sha256={hashlib.sha256(data).hexdigest()} "
+            f"proof_bytes={len(data)} proof_sha256={hashlib.sha256(data).hexdigest()} "
             f"add_digest={add_digest(data, inst.formula.num_clauses)}")
 
 
