@@ -34,14 +34,6 @@ class _InputError(ValueError):
     unreadable input or an unwritable output path)."""
 
 
-def _env_seed() -> int:
-    text = os.environ.get("XORCERT_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise _InputError(f"XORCERT_SEED must be an integer, not {text!r}") from None
-
-
 def _check_timeout(timeout):
     if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
         raise _InputError(f"--timeout must be a positive number of seconds, not {timeout}")
@@ -189,9 +181,8 @@ def cmd_check(args) -> int:
 def cmd_gen(args) -> int:
     from .benchgen import LpnConfig, UrqConfig, gen_lpn, gen_urquhart
 
-    seed = args.seed if args.seed is not None else _env_seed()
     if args.family == "urquhart":
-        inst = gen_urquhart(UrqConfig(m=args.m, p=args.p, seed=seed, parity=args.parity))
+        inst = gen_urquhart(UrqConfig(m=args.m, p=args.p, seed=args.seed, parity=args.parity))
     else:
         inst = gen_lpn(
             LpnConfig(
@@ -199,7 +190,7 @@ def cmd_gen(args) -> int:
                 m=args.m,
                 corrupt_prob=args.corrupt_prob,
                 bound_offset=args.unsat,
-                seed=seed,
+                seed=args.seed,
             )
         )
     _out(args.output, write_dimacs(inst.formula))
@@ -216,6 +207,8 @@ def cmd_gen(args) -> int:
 def _bench_task(task):
     """Generate, solve, and (for refutations) check one instance in one
     mode.  Shaped for a worker pool: a frozen config and plain values."""
+    import tempfile
+
     from .benchgen import UrqConfig, gen_lpn, gen_urquhart
     from .solver import UNSAT, Solver
 
@@ -229,26 +222,28 @@ def _bench_task(task):
         kind = "unsat" if cfg.bound_offset else "sat"
         name = f"lpn-n{cfg.n}-{kind}-s{cfg.seed}"
         var_order = inst.var_order
-    from io import StringIO
-
-    sink = StringIO()
-    res = _run_solver(
-        Solver(
-            inst.formula,
-            use_xor=use_xor,
-            proof_sink=sink,
-            var_order=var_order,
-            timeout=timeout,
-        )
-    )
-    rep = run_report(name, res, timeout, "xor" if use_xor else "no-xor")
-    rep["verified"] = None
-    if check_proofs and res.status == UNSAT:
-        t0 = time.monotonic()
-        sink.seek(0)
-        v = check(inst.formula, iter_proof(sink))
-        rep["verified"] = bool(v.ok)
-        rep["check_time"] = round(time.monotonic() - t0, 6)
+    # the proof goes to a file and is checked from it as bytes, as `check`
+    # reads it, so no whole proof is held in memory
+    with tempfile.TemporaryDirectory(prefix="xorcert-bench-") as tmp:
+        path = os.path.join(tmp, "proof.lrat")
+        with open(path, "w") as sink:
+            res = _run_solver(
+                Solver(
+                    inst.formula,
+                    use_xor=use_xor,
+                    proof_sink=sink,
+                    var_order=var_order,
+                    timeout=timeout,
+                )
+            )
+        rep = run_report(name, res, timeout, "xor" if use_xor else "no-xor")
+        rep["verified"] = None
+        if check_proofs and res.status == UNSAT:
+            t0 = time.monotonic()
+            with open(path, "rb") as fh:
+                v = check(inst.formula, iter_proof(fh))
+            rep["verified"] = bool(v.ok)
+            rep["check_time"] = round(time.monotonic() - t0, 6)
     return rep
 
 
@@ -268,13 +263,14 @@ def cmd_bench(args) -> int:
     _check_timeout(args.timeout)
     if args.jobs < 1:
         raise _InputError(f"--jobs must be at least 1, not {args.jobs}")
-    seed = args.seed if args.seed is not None else _env_seed()
+    if args.both_modes and args.no_xor:
+        raise _InputError("--both-modes runs each instance in both modes; drop --no-xor")
     # every config is built, and so checked, before any task runs
     if args.family == "urq":
-        cfgs = [UrqConfig(m=m, p=args.p, seed=seed + m) for m in _parse_range(args.m_range)]
+        cfgs = [UrqConfig(m=m, p=args.p, seed=args.seed + m) for m in _parse_range(args.m_range)]
     else:
         cfgs = [
-            LpnConfig(n=n, bound_offset=unsat, seed=seed + n)
+            LpnConfig(n=n, bound_offset=unsat, seed=args.seed + n)
             for n in _parse_range(args.n_range)
             for unsat in (False, True)
         ]
@@ -378,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     gu = gsub.add_parser("urquhart")
     gu.add_argument("-m", type=int, required=True)
     gu.add_argument("-p", type=int, default=50)
-    gu.add_argument("--seed", type=int, default=None)
+    gu.add_argument("--seed", type=int, default=0)
     gu.add_argument("--parity", choices=["odd", "even"], default="odd")
     gu.add_argument("-o", "--output", default=None)
     gu.add_argument("--manifest", default=None)
@@ -388,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     gl.add_argument("--m", type=int, default=None)
     gl.add_argument("--corrupt-prob", type=float, default=0.125)
     gl.add_argument("--unsat", action="store_true", help="use the at-most-(k-1) bound")
-    gl.add_argument("--seed", type=int, default=None)
+    gl.add_argument("--seed", type=int, default=0)
     gl.add_argument("-o", "--output", default=None)
     gl.add_argument("--manifest", default=None)
     gl.add_argument("--var-order-out", default=None)
@@ -402,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     bl = bsub.add_parser("lpn")
     bl.add_argument("--n-range", default="8:12")
     for b in (bu, bl):
-        b.add_argument("--seed", type=int, default=None)
+        b.add_argument("--seed", type=int, default=0)
         b.add_argument("--timeout", type=float, default=BENCH_TIMEOUT)
         b.add_argument("--no-xor", action="store_true")
         b.add_argument(

@@ -11,6 +11,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 MAX_XOR_ARITY = 30  # 2**(k-1) encoding clauses; wider constraints are refused
+MAX_EXTRACT_ARITY = 6  # the widest XOR that extract_xors recovers
 
 
 def lit_var(lit: int) -> int:
@@ -68,7 +69,9 @@ class DimacsError(ValueError):
 
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF.  Duplicate literals within a clause are dropped;
-    a tautological clause (both x and -x) is rejected."""
+    a tautological clause (both x and -x) is rejected.  A line starting
+    with `%` ends the clauses, as in SATLIB files, and what follows is
+    ignored."""
     num_vars = None
     num_clauses = None
     clauses: list[tuple[int, ...]] = []
@@ -78,8 +81,10 @@ def parse_dimacs(text: str) -> CnfFormula:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if not line or line.startswith("c"):
             continue
+        if line.startswith("%"):  # SATLIB's trailer ends the clause section
+            break
         if line.startswith("p"):
             if num_vars is not None:
                 raise DimacsError(f"line {lineno}: duplicate header")
@@ -164,8 +169,9 @@ def xor_encoding_clauses(constraint: ParityConstraint) -> list[tuple[int, ...]]:
     return out
 
 
-def extract_xors(f: CnfFormula, max_arity: int = 6) -> list[ParityConstraint]:
-    """Find every parity constraint whose full CNF encoding appears in f.
+def extract_xors(f: CnfFormula) -> list[ParityConstraint]:
+    """Find every parity constraint of arity up to MAX_EXTRACT_ARITY whose
+    full CNF encoding appears in f.
 
     Exact subset matching on clause variable-set signatures: clauses are
     grouped by their variable sets, and a group yields a constraint when all
@@ -173,12 +179,10 @@ def extract_xors(f: CnfFormula, max_arity: int = 6) -> list[ParityConstraint]:
     assigned to at most one extracted constraint; consumed clauses are not
     removed from the formula.
     """
-    if max_arity < 1:
-        raise ValueError("max_arity must be >= 1")
     groups: dict[tuple[int, ...], dict[int, int]] = {}
     for cid, cl in enumerate(f.clauses, start=1):
         k = len(cl)
-        if k == 0 or k > max_arity:
+        if k == 0 or k > MAX_EXTRACT_ARITY:
             continue
         vs = tuple(sorted(lit_var(l) for l in cl))
         if len(set(vs)) != k:

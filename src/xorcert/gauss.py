@@ -24,22 +24,18 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-PROPAGATION = "propagation"
-CONFLICT = "conflict"
-
 
 class ReasonRecord(NamedTuple):
-    """A clause the parity engine is prepared to defend.
-
-    For a propagation the implied literal comes first, followed by the
-    complements of the row's assigned literals; a conflict clause is all
-    complements.  `origin` is the row's shadow when the record was made:
-    bit i set when initial constraint i is in the sum that gives the row.
+    """A clause the parity engine is prepared to defend: the complements
+    of a row's assigned literals, after the literal the row implies when
+    it has one free column.  Whether it propagates or conflicts is read
+    off the assignment, as the value of its first literal.  `origin` is
+    the row's shadow when the record was made: bit i set when initial
+    constraint i is in the sum that gives the row.
     """
 
     clause: tuple[int, ...]
     origin: int
-    kind: str
     row: int
 
 
@@ -53,13 +49,13 @@ def bits(mask: int):
 
 class ParityEngine:
     def __init__(self, constraints, column_vars=None):
-        self.constraints = list(constraints)
+        constraints = list(constraints)
         if column_vars is None:
-            column_vars = sorted({v for p in self.constraints for v in p.vars})
+            column_vars = sorted({v for p in constraints for v in p.vars})
         else:
             column_vars = list(column_vars)
             have = set(column_vars)
-            for p in self.constraints:
+            for p in constraints:
                 missing = [v for v in p.vars if v not in have]
                 assert not missing, f"constraint vars {missing} not in column order"
         self.var_of_col = column_vars
@@ -70,7 +66,7 @@ class ParityEngine:
         # column -> bit set of the rows with a 1 in it: the transpose of
         # `rows`, kept exact by every row operation
         self.col_rows: list[int] = [0] * len(column_vars)
-        for i, p in enumerate(self.constraints):
+        for i, p in enumerate(constraints):
             m = 0
             for v in p.vars:
                 m |= 1 << self.col_of[v]
@@ -135,12 +131,10 @@ class ParityEngine:
         var_of_col = self.var_of_col
         lits = [-var_of_col[c] if true >> c & 1 else var_of_col[c]
                 for c in bits(m) if c != implied_col]
-        kind = CONFLICT
         if implied_col is not None:
-            kind = PROPAGATION
             v = var_of_col[implied_col]
             lits.insert(0, v if (self.phases[r] ^ (m & true).bit_count()) & 1 else -v)
-        return ReasonRecord(tuple(lits), self.shadow[r], kind, r)
+        return ReasonRecord(tuple(lits), self.shadow[r], r)
 
     def _scan(self, rows_set: int) -> list[ReasonRecord]:
         """Records of the rows in bit set `rows_set` under the engine's

@@ -8,18 +8,18 @@ fixpoint; the two propagators alternate until neither adds anything.
 
 Proof discipline: every learned clause is emitted as a hinted RUP step
 whose hints are the reasons of the literals resolved away, in trail order,
-with the conflict clause last.  Reasons reported by the parity engine are
-justified lazily: a record that implies an unassigned literal becomes that
-literal's reason as it stands, and only when conflict analysis resolves on
-the literal is the record justified.  The engine's shadow matrix names the
-initial constraints summing to the row, those constraints' trusted BDDs
-(each proved from its encoding clauses the first time a sum needs it) are
-summed (cached per row until the row's origin changes; the sum of a zero
-row with odd phase, which writes the empty clause, caches nothing), and the
-reason clause is emitted with a single hinted step before the step that
-hints it.
-A conflicting record is justified at once.  A top-level conflict closes the
-proof with the empty clause.
+with the conflict clause last.  A parity engine record is a clause read
+against the assignment: a free first literal becomes implied, with the
+record as its reason, and is justified lazily, only when conflict analysis
+resolves on it.  The engine's shadow matrix names the initial constraints
+summing to the row, those constraints' trusted BDDs (each proved from its
+encoding clauses the first time a sum needs it) are summed (cached per row
+until the row's origin changes; the sum of a zero row with odd phase,
+which writes the empty clause, caches nothing), and the reason clause is
+emitted with a single hinted step before the step that hints it.  A record
+with a false first literal, or an empty one, is a conflict and is
+justified at once.  A top-level conflict closes the proof with the empty
+clause.
 
 State layout (MiniSat's): assignment, levels, reasons and watches live in
 flat lists, not dicts.  `lval[lit]` is True, False or None for every literal
@@ -56,7 +56,7 @@ import time
 from typing import NamedTuple
 
 from .formula import CnfFormula, extract_xors
-from .gauss import CONFLICT, ParityEngine, ReasonRecord, bits
+from .gauss import ParityEngine, ReasonRecord, bits
 from .lrat import DEFAULT_MAX_PROOF_CLAUSES, DeadlineExceeded, ProofLimitExceeded, ProofWriter
 
 SAT = "SAT"
@@ -385,13 +385,13 @@ class Solver:
                     return out
 
     def _handle_record(self, rec):
-        """Enqueue a parity record's implied literal with the record itself
-        as its reason, to be justified only if conflict analysis resolves on
-        it.  A record that conflicts with the assignment is justified at
-        once and returned as (clause, proof id); one whose literal is
-        already true is dropped."""
+        """Read a parity record against the assignment.  A free first
+        literal is enqueued with the record itself as its reason, to be
+        justified only if conflict analysis resolves on it; a true one
+        drops the record.  A false one, or an empty clause, is a conflict:
+        the record is justified at once and returned as (clause, proof id)."""
         self.parity_propagations += 1
-        if rec.kind != CONFLICT:
+        if rec.clause:
             lit = rec.clause[0]
             val = self.lval[lit]
             if val is None:

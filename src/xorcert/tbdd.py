@@ -87,14 +87,13 @@ class Tbdd:
 
 
 class TbddEngine:
-    def __init__(self, order, writer, num_input_vars: int, input_clause, check_time=None):
+    def __init__(self, order, writer, num_vars: int, input_clause, check_time=None):
         """input_clause maps an input clause's proof id to its literals; it
         is how `tbdd_from_xor` reads a constraint's `source_clauses`.
         check_time, if given, is called before each sum of `greedy_sum` and
         raises DeadlineExceeded once the deadline has passed."""
         self.writer = writer
         self.input_clause = input_clause
-        self.num_input_vars = num_input_vars
         self.check_time = check_time
         # node -> its (id, clause) defining steps by slot HD, LD, HU, LU;
         # None where the clause is a tautology
@@ -105,7 +104,7 @@ class TbddEngine:
         self.gc_collections = 0
         self.bdd = Bdd(
             order,
-            first_id=num_input_vars + 1,
+            first_id=num_vars + 1,
             on_node=self._register_node,
             on_free=self._reclaim_nodes,
         )
@@ -502,8 +501,8 @@ class TbddEngine:
         their encoding clauses, unless the sum's prefix chain, 2^(ka+kb-2)
         steps, is longer than the 2^k chain steps and about 4k node
         definitions that proving each input alone writes before the walk
-        (for arities up to 6, when ka + kb >= 9).  Any other bare input is
-        proved, summed and dropped."""
+        (for arities up to formula.MAX_EXTRACT_ARITY = 6, when ka + kb >= 9).
+        Any other bare input is proved, summed and dropped."""
         a_bare = a.__class__ is ParityConstraint
         b_bare = b.__class__ is ParityConstraint
         if a_bare and b_bare and len(set(a.vars) & set(b.vars)) == 1:

@@ -117,7 +117,7 @@ class TestGraphFamily:
 
     def test_manifest_matches_extraction(self):
         u = gen_urquhart(UrqConfig(m=3, seed=2))
-        ext = extract_xors(u.formula, max_arity=3)
+        ext = extract_xors(u.formula)
         assert [(c.vars, c.phase) for c in ext] == sorted(
             (c.vars, c.phase) for c in u.constraints
         )
@@ -193,7 +193,7 @@ class TestNoisyParityFamily:
     def test_chained_links_stay_small_and_extractable(self):
         inst = gen_lpn(LpnConfig(n=12, seed=9))
         assert all(c.arity <= 3 for c in inst.constraints)
-        ext = {(c.vars, c.phase) for c in extract_xors(inst.formula, max_arity=6)}
+        ext = {(c.vars, c.phase) for c in extract_xors(inst.formula)}
         assert {(c.vars, c.phase) for c in inst.constraints} <= ext
 
     def test_var_order_structure(self):

@@ -226,10 +226,11 @@ class TestBadOptionValues:
         err = self.one_error(capsys, ["bench", "urq", "--m-range", "3:3", "--jobs", value])
         assert "--jobs" in err
 
-    def test_non_integer_seed_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("XORCERT_SEED", "abc")
-        err = self.one_error(capsys, ["gen", "urquhart", "-m", "3"])
-        assert "XORCERT_SEED" in err and "'abc'" in err
+    def test_both_modes_with_no_xor(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_bench_task", lambda task: pytest.fail("task ran"))
+        err = self.one_error(capsys, ["bench", "urq", "--m-range", "3:3", "--both-modes",
+                                      "--no-xor"])
+        assert "--both-modes" in err and "--no-xor" in err
 
 
 class TestSolveInputErrors:
@@ -648,6 +649,28 @@ class TestBench:
         assert sizes == pool_sizes
         assert capsys.readouterr().out.count("urq-m") == tasks
 
+    def test_check_reads_bytes_lines_from_a_file(self, capsys, monkeypatch):
+        # each proof is checked as `check` reads it, streamed from a file
+        # opened "rb", not from a copy held in memory
+        sources, line_types = [], set()
+        iter_proof = cli.iter_proof
+
+        def recording(fh):
+            sources.append((fh.mode, os.path.isfile(fh.name)))
+
+            def lines():
+                for line in fh:
+                    line_types.add(type(line))
+                    yield line
+
+            return iter_proof(lines())
+
+        monkeypatch.setattr(cli, "iter_proof", recording)
+        rc = cli.main(["bench", "urq", "--m-range", "3:3", "--seed", "5", "--timeout", "30"])
+        assert rc == 0 and "yes" in capsys.readouterr().out
+        assert sources == [("rb", True)]
+        assert line_types == {bytes}
+
     def test_empty_suite_is_ok(self, capsys):
         assert cli.main(["bench", "urq", "--m-range", "5:4"]) == 0
         assert "no instances" in capsys.readouterr().out
@@ -714,12 +737,14 @@ class TestDebugDumps:
 
 
 class TestSeedEnv:
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("value", ["9", "abc"])
+    def test_env_seed_is_ignored(self, tmp_path, monkeypatch, value):
+        # --seed, default 0, is the only seed: the environment sets none
         a, b = tmp_path / "a.cnf", tmp_path / "b.cnf"
-        monkeypatch.setenv("XORCERT_SEED", "9")
-        cli.main(["gen", "urquhart", "-m", "3", "-o", str(a)])
+        monkeypatch.setenv("XORCERT_SEED", value)
+        assert cli.main(["gen", "urquhart", "-m", "3", "-o", str(a)]) == 0
         monkeypatch.delenv("XORCERT_SEED")
-        cli.main(["gen", "urquhart", "-m", "3", "--seed", "9", "-o", str(b)])
+        cli.main(["gen", "urquhart", "-m", "3", "--seed", "0", "-o", str(b)])
         assert a.read_text() == b.read_text()
 
     def test_explicit_seed_beats_env(self, tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Smoke test of tools/fingerprint.py on two tiny instances.  It pins no
+"""Smoke test of tools/fingerprint.py on three tiny instances.  It pins no
 hash or count: the full set is for diffing two versions of the solver, and
 stays out of the test suite."""
 
@@ -18,19 +18,27 @@ fingerprint = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(fingerprint)
 
 LINE = re.compile(
-    r"default-order/(?P<name>\S+) status=UNSAT conflicts=\d+ decisions=\d+ "
-    r"propagations=\d+ parity_propagations=\d+ proof_adds=[1-9]\d* proof_deletes=\d+ "
-    r"justifications=\d+ ext_vars=\d+ peak_bdd_nodes=\d+ gc_collections=\d+ check=verified "
-    r"proof_bytes=[1-9]\d* proof_sha256=[0-9a-f]{64} add_digest=[0-9a-f]{64}"
+    r"default-order/(?P<name>\S+) status=(?P<status>SAT|UNSAT) conflicts=\d+ decisions=\d+ "
+    r"propagations=\d+ parity_propagations=\d+ proof_adds=(?P<adds>\d+) proof_deletes=\d+ "
+    r"justifications=\d+ ext_vars=\d+ peak_bdd_nodes=\d+ gc_collections=\d+ "
+    r"check=(?P<check>verified|-) proof_bytes=(?P<bytes>\d+) proof_sha256=[0-9a-f]{64} "
+    r"add_digest=[0-9a-f]{64}(?P<model> model_sha256=[0-9a-f]{64})?"
 )
 
 
 def test_one_line_per_instance(capsys):
-    assert fingerprint.main(["--instance", "urq:3:1", "--instance", "lpn:6:8:unsat"]) == 0
+    argv = ["--instance", "urq:3:1", "--instance", "lpn:6:8:unsat", "--instance", "lpn:6:8"]
+    assert fingerprint.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     matches = [LINE.fullmatch(line) for line in lines]
     assert all(matches), lines
-    assert [m["name"] for m in matches] == ["urq-m3-s1", "lpn-n6-unsat-s8"]
+    assert [m["name"] for m in matches] == ["urq-m3-s1", "lpn-n6-unsat-s8", "lpn-n6-sat-s8"]
+    # a refutation is checked and has steps, and a SAT answer carries its
+    # model's digest
+    assert [(m["status"], m["check"], bool(m["model"])) for m in matches] == [
+        ("UNSAT", "verified", False), ("UNSAT", "verified", False), ("SAT", "-", True)]
+    assert all(int(m["adds"]) > 0 and int(m["bytes"]) > 0
+               for m in matches if m["status"] == "UNSAT")
 
 
 def test_add_digest_ignores_deletions(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xorcert.formula import (
+    MAX_EXTRACT_ARITY,
     CnfFormula,
     DimacsError,
     ParityConstraint,
@@ -47,6 +48,11 @@ class TestParseDimacs:
     def test_duplicate_literal_dropped(self):
         f = parse_dimacs("p cnf 2 1\n1 1 -2 0\n")
         assert f.clauses == [(1, -2)]
+
+    def test_satlib_trailer_ends_the_clauses(self):
+        # SATLIB files close with a `%` line and a lone 0, which is no clause
+        f = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n%\n0\n\n")
+        assert f.clauses == [(1, -2), (2, 3)]
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -133,11 +139,11 @@ class TestXorEncoding:
 
 class TestExtractXors:
     def test_roundtrip_single(self):
-        for k in range(1, 9):
+        for k in range(1, MAX_EXTRACT_ARITY + 1):
             for phase in (0, 1):
                 p = ParityConstraint(tuple(range(2, k + 2)), phase)
                 f = CnfFormula(k + 2, xor_encoding_clauses(p))
-                got = extract_xors(f, max_arity=8)
+                got = extract_xors(f)
                 assert len(got) == 1
                 assert got[0].vars == p.vars and got[0].phase == p.phase
                 assert len(got[0].source_clauses) == 2 ** (k - 1)
@@ -169,10 +175,13 @@ class TestExtractXors:
         assert sorted(used) == [1, 2, 3, 4]  # each clause consumed at most once
 
     def test_max_arity_bound(self):
-        p = ParityConstraint((1, 2, 3, 4), 1)
-        f = CnfFormula(4, xor_encoding_clauses(p))
-        assert extract_xors(f, max_arity=3) == []
-        assert len(extract_xors(f, max_arity=4)) == 1
+        k = MAX_EXTRACT_ARITY
+        widest = ParityConstraint(tuple(range(1, k + 1)), 1)
+        f = CnfFormula(k, xor_encoding_clauses(widest))
+        assert [(g.vars, g.phase) for g in extract_xors(f)] == [(widest.vars, 1)]
+        # one wider, and its full encoding is left as plain clauses
+        wider = ParityConstraint(tuple(range(1, k + 2)), 1)
+        assert extract_xors(CnfFormula(k + 1, xor_encoding_clauses(wider))) == []
 
     def test_deterministic_order(self):
         ps = [
@@ -188,14 +197,14 @@ class TestExtractXors:
         assert [g.vars for g in got] == [(1, 2), (3, 4), (5, 6, 7)]
 
 
-@given(st.integers(1, 6), st.integers(0, 1), st.integers(0, 10**6))
+@given(st.integers(1, MAX_EXTRACT_ARITY), st.integers(0, 1), st.integers(0, 10**6))
 @settings(max_examples=80, deadline=None)
 def test_extract_encode_roundtrip_property(k, phase, seed):
     rng = random.Random(seed)
     vs = tuple(sorted(rng.sample(range(1, 20), k)))
     p = ParityConstraint(vs, phase)
     f = CnfFormula(20, xor_encoding_clauses(p))
-    got = extract_xors(f, max_arity=6)
+    got = extract_xors(f)
     assert [(g.vars, g.phase) for g in got] == [(vs, phase)]
 
 

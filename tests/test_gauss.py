@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xorcert.formula import ParityConstraint
-from xorcert.gauss import CONFLICT, PROPAGATION, ParityEngine, ReasonRecord, bits
+from xorcert.gauss import ParityEngine, ReasonRecord, bits
 
 
 def small_system(rng, nvars=6, nrows=6, allow_empty=False):
@@ -38,12 +38,25 @@ def origin_of(eng, r):
     return tuple(bits(eng.shadow[r]))
 
 
-def semantic_row(eng, r):
-    """Fold the initial constraints named by the shadow row."""
+def semantic_row(cons, eng, r):
+    """Fold the initial constraints `cons` named by the shadow row."""
     acc = ParityConstraint((), 0)
     for i in origin_of(eng, r):
-        acc = acc.combine(eng.constraints[i])
+        acc = acc.combine(cons[i])
     return acc
+
+
+def is_conflict(rec, value):
+    """How the solver reads a record against an assignment, `value(lit)`
+    being True, False or None for a free literal: a conflict when its
+    clause is empty or its first literal is false.  Otherwise the record
+    implies a free first literal, or repeats a true one."""
+    return not rec.clause or value(rec.clause[0]) is False
+
+
+def value_in(asg):
+    """Literal values under `asg`, a variable -> bool dict, for `is_conflict`."""
+    return lambda lit: None if abs(lit) not in asg else asg[abs(lit)] == (lit > 0)
 
 
 class TestWorkedExample:
@@ -129,7 +142,7 @@ class TestRowAlgebra:
                 if cols:
                     eng.eliminate_column(r, rng.choice(cols))
         for r in range(n):
-            assert semantic_row(eng, r) == row_constraint(eng, r)
+            assert semantic_row(cons, eng, r) == row_constraint(eng, r)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -142,7 +155,7 @@ class TestRowAlgebra:
             holders = [r for r in range(len(eng.rows)) if eng.rows[r] >> col & 1]
             assert holders == [pr]
         for r in range(len(eng.rows)):
-            assert semantic_row(eng, r) == row_constraint(eng, r)
+            assert semantic_row(cons, eng, r) == row_constraint(eng, r)
 
     @pytest.mark.parametrize("seed", range(200))
     def test_full_reduce_matches_row_scan(self, seed):
@@ -195,16 +208,14 @@ def implied_by(cons, clause, nvars):
     return True
 
 
-def check_record_shape(eng, rec, assigned):
-    if rec.kind == PROPAGATION:
-        lit = rec.clause[0]
-        assert abs(lit) not in assigned
+def check_record_shape(cons, eng, rec, assigned):
+    rest = rec.clause
+    if not is_conflict(rec, value_in(assigned)):
+        assert abs(rec.clause[0]) not in assigned, "a scan implies only free literals"
         rest = rec.clause[1:]
-    else:
-        rest = rec.clause
     for l in rest:
         assert assigned[abs(l)] == (l < 0), "premise literal must be falsified"
-    assert semantic_row(eng, rec.row) == row_constraint(eng, rec.row)
+    assert semantic_row(cons, eng, rec.row) == row_constraint(eng, rec.row)
 
 
 class TestFullScanPropagate:
@@ -228,7 +239,7 @@ class TestFullScanPropagate:
             if rng.random() < 0.6
         }
         for rec in eng.propagate(asg):
-            check_record_shape(eng, rec, asg)
+            check_record_shape(cons, eng, rec, asg)
             assert implied_by(cons, rec.clause, nvars)
         assert (eng.assigned, eng.true) == before, "full scan must not touch propagation state"
 
@@ -237,14 +248,13 @@ class TestFullScanPropagate:
         eng = ParityEngine(cons)
         eng.full_reduce()
         recs = eng.propagate({})
-        kinds = sorted(r.kind for r in recs)
-        assert kinds == [CONFLICT]
+        assert [is_conflict(r, value_in({})) for r in recs] == [True]
         assert recs[0].clause == ()
 
     def test_unit_row_propagates_with_no_premises(self):
         eng = ParityEngine([ParityConstraint((3,), 1)])
         recs = eng.propagate({})
-        assert recs == [ReasonRecord((3,), 0b1, PROPAGATION, 0)]
+        assert recs == [ReasonRecord((3,), 0b1, 0)]
 
 
 def run_batch(cons, order, decisions):
@@ -258,13 +268,11 @@ def run_batch(cons, order, decisions):
     head = i = 0
     while True:
         for rec in recs:
-            if rec.kind == CONFLICT:
+            if is_conflict(rec, value_in(assigned)):
                 return assigned, rec
             lit = rec.clause[0]
             v, val = abs(lit), lit > 0
             if v in assigned:
-                if assigned[v] != val:
-                    return assigned, rec
                 continue
             assigned[v] = val
             trail.append(lit)
@@ -288,13 +296,11 @@ def run_scan(cons, order, decisions):
     while True:
         progress = False
         for rec in eng.propagate(assigned):
-            if rec.kind == CONFLICT:
+            if is_conflict(rec, value_in(assigned)):
                 return assigned, rec
             lit = rec.clause[0]
             v, val = abs(lit), lit > 0
             if v in assigned:
-                if assigned[v] != val:
-                    return assigned, rec
                 continue
             assigned[v] = val
             progress = True
@@ -365,7 +371,7 @@ class TestScanAllRows:
     def test_empty_false_row_conflicts_immediately(self):
         eng = ParityEngine([ParityConstraint((), 1)])
         recs = eng.scan_all_rows()
-        assert recs == [ReasonRecord((), 0b1, CONFLICT, 0)]
+        assert recs == [ReasonRecord((), 0b1, 0)]
 
     def test_empty_true_row_is_inert(self):
         eng = ParityEngine([ParityConstraint((), 0)])

@@ -13,7 +13,7 @@ from xorcert.gauss import ReasonRecord
 from xorcert.lrat import check, parse_proof
 from xorcert.solver import LIMIT, SAT, UNSAT, Solver, luby
 
-from test_gauss import add_row_into, row_constraint
+from test_gauss import add_row_into, is_conflict, row_constraint
 
 
 def solve_formula(f: CnfFormula, **kw):
@@ -527,12 +527,12 @@ class TestLazyJustification:
             return pid
 
         monkeypatch.setattr(tbdd.TbddEngine, "tbdd_justify_clause", counted)
-        kinds = {}
+        lazy = {}
 
         class Recording(Solver):
             def _justify(self, rec):
                 pid = super()._justify(rec)
-                kinds[pid] = rec.kind
+                lazy[pid] = not is_conflict(rec, self.lval.__getitem__)
                 return pid
 
         inst = gen_lpn(LpnConfig(n=6, bound_offset=True, seed=8))
@@ -550,8 +550,7 @@ class TestLazyJustification:
         # every justification is written just for a later step that hints
         # it, and some propagation reason first serves a learned clause
         assert all(first_use[pid].id > pid for (pid,) in calls.values())
-        assert any(kind == gauss.PROPAGATION and first_use[pid].lits
-                   for pid, kind in kinds.items())
+        assert any(is_lazy and first_use[pid].lits for pid, is_lazy in lazy.items())
 
     def test_every_reason_implies_its_literal(self):
         # at each conflict, a decision has no reason and any other assigned
@@ -584,7 +583,7 @@ class TestLazyJustification:
 
             def _justify(self, rec):
                 # a lazy reason's implied literal is true, an eager one's false
-                lazy = rec.kind == gauss.PROPAGATION and self.lval[rec.clause[0]]
+                lazy = not is_conflict(rec, self.lval.__getitem__)
                 if lazy and not self.expired and any(
                         self.xor_tbdds[i] is None for i in gauss.bits(rec.origin)):
                     # the first lazy reason whose sum needs an unbuilt XOR

@@ -16,13 +16,15 @@ size in bytes and the sha256 of the proof file, and an add-step digest:
 the sha256 of the add steps alone, their ids renumbered consecutively
 after the input clauses and their hints remapped to match.
 Delete steps take ids too, so a change that moves only deletions changes
-the proof's sha256 but keeps its add-step digest.
+the proof's sha256 but keeps its add-step digest.  A SAT line ends with the
+sha256 of the solver's `v` line, the model.
 
 The default set is the 55 instances of the benchmark's three workloads at
 workload seed 1, each solved as perfbench solves it (with --var-order where
-the instance has an order, with --no-xor on lpn-clausal), then four
+the instance has an order, with --no-xor on lpn-clausal), then five
 default-order xor-mode solves: lpn n=6 seed 8, n=14 seed 77 and n=16
-seed 2, and urq m=8 seed 8.  Instances come from perfbench/workloads.py,
+seed 2, urq m=8 seed 8, and lpn n=12 seed 2, whose at-most-(k-1) bound is
+satisfiable.  Instances come from perfbench/workloads.py,
 which this script only imports.  --instance FAMILY:SIZE:SEED[:unsat]
 (repeatable) runs those default-order xor-mode solves instead.
 """
@@ -44,7 +46,8 @@ sys.path.insert(0, ROOT)
 from perfbench import workloads  # noqa: E402
 
 SEED = 1
-DEFAULT_ORDER = ("lpn:6:8:unsat", "lpn:14:77:unsat", "lpn:16:2:unsat", "urq:8:8")
+DEFAULT_ORDER = ("lpn:6:8:unsat", "lpn:14:77:unsat", "lpn:16:2:unsat", "urq:8:8",
+                 "lpn:12:2:unsat")
 FIELDS = (
     "status", "conflicts", "decisions", "propagations", "parity_propagations",
     "proof_adds", "proof_deletes", "justifications", "ext_vars", "peak_bdd_nodes",
@@ -99,7 +102,7 @@ def fingerprint(label, inst, use_xor, src, workdir) -> str:
         argv += ["--var-order", inst.order_path]
     if not use_xor:
         argv.append("--no-xor")
-    subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    solved = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, timeout=TIMEOUT_S)
     with open(report) as fh:
         rep = json.loads(fh.readline())
     verdict = "-"
@@ -110,9 +113,13 @@ def fingerprint(label, inst, use_xor, src, workdir) -> str:
     with open(proof, "rb") as fh:
         data = fh.read()
     counters = " ".join(f"{k}={rep[k]}" for k in FIELDS)
-    return (f"{label}/{inst.name} {counters} check={verdict} "
+    line = (f"{label}/{inst.name} {counters} check={verdict} "
             f"proof_bytes={len(data)} proof_sha256={hashlib.sha256(data).hexdigest()} "
             f"add_digest={add_digest(data, inst.formula.num_clauses)}")
+    if rep["status"] == "SAT":
+        (model,) = [l for l in solved.stdout.splitlines() if l.startswith("v ")]
+        line += f" model_sha256={hashlib.sha256(model.encode()).hexdigest()}"
+    return line
 
 
 def main(argv=None) -> int:
