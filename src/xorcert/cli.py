@@ -90,26 +90,33 @@ def _engine_errors():
     from .bdd import BddCapacityError
     from .tbdd import ProofEngineError
 
-    return (RecursionError, ProofEngineError, BddCapacityError, AssertionError)
+    return (RecursionError, ProofEngineError, BddCapacityError, AssertionError, MemoryError)
 
 
-def _run_solver(solver):
-    """solver.solve(), with an engine failure turned into an ERROR result
+def _diagnostic(e: BaseException) -> str:
+    """`error: <class>: <message>`, or `error: <class>` when the message is
+    empty, as a MemoryError's usually is."""
+    return f"error: {type(e).__name__}" + (f": {e}" if str(e) else "")
+
+
+def _run_solver(formula, **kw):
+    """Solver(formula, **kw).solve(), with an engine failure, running out of
+    memory while building the solver included, turned into an ERROR result
     and a one-line diagnostic on stderr."""
-    from .solver import SolveResult
+    from .solver import Solver, SolveResult
 
     t0 = time.monotonic()
     try:
-        return solver.solve()
+        return Solver(formula, **kw).solve()
     except _engine_errors() as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        print(_diagnostic(e), file=sys.stderr)
         return SolveResult(ERROR, elapsed=time.monotonic() - t0, stop_reason=type(e).__name__)
 
 
 def cmd_solve(args) -> int:
     import json
 
-    from .solver import LIMIT, SAT, UNSAT, Solver, checked_order
+    from .solver import LIMIT, SAT, UNSAT, checked_order
 
     _check_timeout(args.timeout)
     if args.max_proof_clauses < 1:
@@ -129,14 +136,12 @@ def cmd_solve(args) -> int:
         except OSError as e:
             raise _InputError(f"cannot write proof: {e}") from None
         res = _run_solver(
-            Solver(
-                f,
-                use_xor=not args.no_xor,
-                proof_sink=sink,
-                max_proof_clauses=args.max_proof_clauses,
-                var_order=var_order,
-                timeout=args.timeout,
-            )
+            f,
+            use_xor=not args.no_xor,
+            proof_sink=sink,
+            max_proof_clauses=args.max_proof_clauses,
+            var_order=var_order,
+            timeout=args.timeout,
         )
         if report is not None:
             rep = run_report(args.cnf, res, args.timeout, "no-xor" if args.no_xor else "xor")
@@ -210,7 +215,7 @@ def _bench_task(task):
     import tempfile
 
     from .benchgen import UrqConfig, gen_lpn, gen_urquhart
-    from .solver import UNSAT, Solver
+    from .solver import UNSAT
 
     cfg, use_xor, timeout, check_proofs = task
     if isinstance(cfg, UrqConfig):
@@ -228,13 +233,11 @@ def _bench_task(task):
         path = os.path.join(tmp, "proof.lrat")
         with open(path, "w") as sink:
             res = _run_solver(
-                Solver(
-                    inst.formula,
-                    use_xor=use_xor,
-                    proof_sink=sink,
-                    var_order=var_order,
-                    timeout=timeout,
-                )
+                inst.formula,
+                use_xor=use_xor,
+                proof_sink=sink,
+                var_order=var_order,
+                timeout=timeout,
             )
         rep = run_report(name, res, timeout, "xor" if use_xor else "no-xor")
         rep["verified"] = None
@@ -432,6 +435,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # outside a solve, e.g. in `check`
+        print(_diagnostic(e), file=sys.stderr)
         return 1
 
 

@@ -108,8 +108,14 @@ class ParityEngine:
 
     def full_reduce(self, check_time=None):
         """Reduced row echelon form; pivots taken column-by-column in the
-        fixed order, first eligible row wins.  `check_time`, if given, is
-        called before each pivot column and may raise to stop the run."""
+        fixed order, each from the eligible row with the fewest columns,
+        the lowest index on ties: a sparse pivot adds few columns to the
+        rows it is summed into.  The nonzero rows that result are those of
+        any other pivot rule, since the RREF is unique for a column order;
+        which row holds each, and its shadow, depend on the rule.
+        `check_time`, if given, is called before each pivot column and may
+        raise to stop the run."""
+        rows = self.rows
         pivot_rows = 0
         for col in range(len(self.col_rows)):
             eligible = self.col_rows[col] & ~pivot_rows
@@ -117,7 +123,7 @@ class ParityEngine:
                 continue
             if check_time is not None:
                 check_time()
-            pr = (eligible & -eligible).bit_length() - 1
+            pr = min(bits(eligible), key=lambda r: rows[r].bit_count())
             pivot_rows |= 1 << pr
             self.pivot_of_row[pr] = col
             self.eliminate_column(pr, col)

@@ -26,13 +26,18 @@ flat lists, not dicts.  `lval[lit]` is True, False or None for every literal
 of the n variables; it has 2n+1 slots, so Python's negative indexing puts
 -v at slot 2n+1-v, disjoint from the slots 1..n of the positive literals
 (2n slots would alias -n with n).  `watches` has the same shape and holds
-the `_Clause` objects watching each literal.  `levels` and `reason` are
-indexed by variable and are only meaningful while the variable is
-assigned; backtracking clears `lval` and leaves the rest stale.  A variable
-has one reason: None for a decision, the `_Clause` that implied it (input
-or learned, units included), or the parity engine's `ReasonRecord`, which
-conflict analysis justifies the first time it resolves on it.  Both kinds
-carry the implying clause as `.clause`.
+the `_Clause` objects watching each literal, a clause watching its `w[0]`
+and `w[1]`.  Propagation compacts each watch list it visits in place, so a
+clause keeps its position relative to the other clauses in each list; a
+clause whose watch is falsified tries the literals of `w[2:]` in order for
+a new one, with a fast path for the single candidate of a ternary clause.
+`levels` and `reason` are indexed by variable and are only meaningful
+while the variable is assigned; backtracking clears `lval` and leaves the
+rest stale.  A variable has one reason: None for a decision, the
+`_Clause` that implied it (input or learned, units included), or the
+parity engine's `ReasonRecord`, which conflict analysis justifies the
+first time it resolves on it.  Both kinds carry the implying clause as
+`.clause`.
 The parity engine sees the trail in batches: each pass hands it the
 suffix `trail[ghead:]` through `on_assign` and moves `ghead` to the end.
 A decision is taken only at a joint fixpoint, where `ghead` is the
@@ -53,11 +58,13 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .formula import CnfFormula, extract_xors
-from .gauss import ParityEngine, ReasonRecord, bits
 from .lrat import DEFAULT_MAX_PROOF_CLAUSES, DeadlineExceeded, ProofLimitExceeded, ProofWriter
+
+if TYPE_CHECKING:
+    from .gauss import ParityEngine, ReasonRecord
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -142,6 +149,7 @@ class Solver:
         # assignment state: lval by literal, the rest by variable
         self.lval: list[bool | None] = [None] * (2 * n + 1)
         self.levels: list[int] = [0] * (n + 1)
+        self.seen: list[int] = [0] * (n + 1)  # the conflict whose analysis last met v
         self.reason: list[_Clause | ReasonRecord | None] = [None] * (n + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
@@ -173,10 +181,6 @@ class Solver:
 
     # -- assignment primitives ----------------------------------------------
 
-    @property
-    def level(self) -> int:
-        return len(self.trail_lim)
-
     def _enqueue(self, lit, reason):
         lval = self.lval
         assert lval[lit] is None
@@ -194,16 +198,16 @@ class Solver:
         activity = self.activity
         heap = self.heap
         queued = self.queued
+        heappush = heapq.heappush
         keep = self.trail_lim[lvl]
-        for idx in range(len(trail) - 1, keep - 1, -1):
-            lit = trail[idx]
+        for lit in reversed(trail[keep:]):
             v = lit if lit > 0 else -lit
             saved_phase[v] = lit > 0
             lval[lit] = lval[-lit] = None
             key = -activity[v]
             if queued[v] != key:
                 queued[v] = key
-                heapq.heappush(heap, (key, v))
+                heappush(heap, (key, v))
         del trail[keep:]
         del self.trail_lim[lvl:]
         if self.par is not None:
@@ -220,26 +224,24 @@ class Solver:
         self.heap = [(key, u) for u, key in enumerate(self.queued) if u and key is not None]
         heapq.heapify(self.heap)
 
-    def _bump(self, v):
-        """Raise v's activity.  v is assigned, so it needs no heap entry
-        now: `_backtrack` queues it with its current activity once freed."""
+    def _rescale(self):
+        """Scale every activity and the increment down by ACT_RESCALE, which
+        keeps their order; called by the bump that crosses it."""
         act = self.activity
-        act[v] += self.var_inc
-        if act[v] > ACT_RESCALE:
-            for u in range(1, len(act)):
-                act[u] *= 1.0 / ACT_RESCALE
-            self.var_inc *= 1.0 / ACT_RESCALE
-            # the queued keys predate the rescale
-            self._rebuild_heap()
+        for u in range(1, len(act)):
+            act[u] *= 1.0 / ACT_RESCALE
+        self.var_inc *= 1.0 / ACT_RESCALE
+        # the queued keys predate the rescale
+        self._rebuild_heap()
 
     def _decide(self):
-        heap = self.heap
-        queued = self.queued
+        heap, queued, lval = self.heap, self.queued, self.lval
+        heappop = heapq.heappop
         while heap:
-            key, v = heapq.heappop(heap)
+            key, v = heappop(heap)
             if queued[v] == key:
                 queued[v] = None
-            if self.lval[v] is None:
+            if lval[v] is None:
                 return v if self.saved_phase[v] else -v
         return None
 
@@ -252,6 +254,11 @@ class Solver:
     # -- parity preparation --------------------------------------------------
 
     def _prepare_parity(self):
+        """Recover the XORs and reduce their matrix.  Only xor mode calls
+        this, and the parity engine is imported here, so a `--no-xor` solve
+        never loads it."""
+        from .gauss import ParityEngine
+
         self.xors = extract_xors(self.f)
         if not self.xors:
             return
@@ -286,6 +293,8 @@ class Solver:
         constraint: `greedy_sum` proves what it needs from the encoding
         clauses when it first picks it, drops that once consumed and
         collects with no floor, and `xor_tbdds` keeps none of it."""
+        from .gauss import bits
+
         if self.writer is None:
             return None
         pid = self.justified.get(rec.clause)
@@ -323,56 +332,71 @@ class Solver:
         reason = self.reason
         lvl = len(self.trail_lim)
         while True:
-            qhead = self.qhead
-            props = 0
+            qhead = start = self.qhead
             confl = None
             while qhead < len(trail):
-                p = trail[qhead]
+                falsified = -trail[qhead]
                 qhead += 1
-                props += 1
-                falsified = -p
                 ws = watches[falsified]
                 if not ws:
                     continue
-                kept = []
-                i = 0
-                n_ws = len(ws)
-                while i < n_ws:
-                    cl = ws[i]
-                    i += 1
+                # compacted in place: ws[:j] holds the clauses that keep
+                # watching `falsified`, in their order; `moved` counts those
+                # that took another watch
+                j = moved = 0
+                for cl in ws:
                     w = cl.w
-                    if w[0] == falsified:
-                        w[0], w[1] = w[1], falsified
                     first = w[0]
+                    if first == falsified:
+                        first = w[0] = w[1]
+                        w[1] = falsified
                     fv = lval[first]
                     if fv is True:
-                        kept.append(cl)
+                        ws[j] = cl
+                        j += 1
                         continue
-                    for k in range(2, len(w)):
-                        other = w[k]
+                    # the first non-false literal of w[2:] takes the watch
+                    nw = len(w)
+                    if nw == 3:
+                        other = w[2]
                         if lval[other] is not False:
                             w[1] = other
-                            w[k] = falsified
+                            w[2] = falsified
                             watches[other].append(cl)
-                            break
+                            moved += 1
+                            continue
                     else:
-                        kept.append(cl)
-                        if fv is False:
-                            confl = cl
-                            kept.extend(ws[i:])
-                            break
-                        # enqueue `first` with this clause as its reason
-                        lval[first] = True
-                        lval[-first] = False
-                        v = first if first > 0 else -first
-                        levels[v] = lvl
-                        reason[v] = cl
-                        trail.append(first)
-                watches[falsified] = kept
+                        for k in range(2, nw):
+                            other = w[k]
+                            if lval[other] is not False:
+                                w[1] = other
+                                w[k] = falsified
+                                watches[other].append(cl)
+                                break
+                        else:
+                            k = 0
+                        if k:
+                            moved += 1
+                            continue
+                    if fv is False:
+                        confl = cl
+                        break
+                    ws[j] = cl
+                    j += 1
+                    # enqueue `first` with this clause as its reason
+                    lval[first] = True
+                    lval[-first] = False
+                    v = first if first > 0 else -first
+                    levels[v] = lvl
+                    reason[v] = cl
+                    trail.append(first)
                 if confl is not None:
+                    # keep the conflict, at ws[j + moved], and the clauses after it
+                    del ws[j:j + moved]
                     break
+                del ws[j:]
             self.qhead = qhead
-            self.propagations += props
+            self.propagations += qhead - start
             if confl is not None:
                 return confl.clause, confl.pid
             if self.par is None or self.ghead >= len(trail):
@@ -404,42 +428,52 @@ class Solver:
     # -- conflict analysis ---------------------------------------------------
 
     def _analyze(self, confl_lits, confl_pid):
+        """First-UIP learning: (learned clause, backjump level, hints).  Each
+        variable met is bumped once, when first seen.  A reason's own
+        literal needs no filtering: its variable is already seen."""
         trail = self.trail
         levels = self.levels
         reason = self.reason
-        bump = self._bump
+        act = self.activity
+        inc = self.var_inc
         lvl = len(self.trail_lim)
-        seen = set()
+        seen = self.seen
+        stamp = self.conflicts  # seen[v] == stamp: v met by this analysis
         tail = []
-        resolved = []
+        resolved = []  # reasons resolved on, latest on the trail first
         counter = 0
         cur = confl_lits
         idx = len(trail) - 1
         while True:
             for q in cur:
                 v = q if q > 0 else -q
-                if v in seen:
+                if seen[v] == stamp:
                     continue
-                seen.add(v)
-                bump(v)
+                seen[v] = stamp
+                # v is assigned, so it needs no heap entry now: `_backtrack`
+                # queues it with its current activity once freed
+                a = act[v] = act[v] + inc
+                if a > ACT_RESCALE:
+                    self._rescale()
+                    inc = self.var_inc
                 if levels[v] == lvl:
                     counter += 1
                 else:
                     tail.append(q)
             assert counter > 0, "conflict clause must touch the current level"
-            while abs(trail[idx]) not in seen:
-                idx -= 1
             p = trail[idx]
-            v = p if p > 0 else -p
+            while seen[p if p > 0 else -p] != stamp:
+                idx -= 1
+                p = trail[idx]
             counter -= 1
             if counter == 0:
-                uip = p
                 break
-            resolved.append(idx)
-            cur = [q for q in reason[v].clause if q != p]
+            r = reason[p if p > 0 else -p]
+            resolved.append(r)
+            cur = r.clause
             idx -= 1
-        tail.sort(key=lambda q: -levels[abs(q)])
-        learned = (-uip,) + tuple(tail)
+        tail.sort(key=lambda q: levels[q if q > 0 else -q], reverse=True)
+        learned = (-p,) + tuple(tail)
         bj = levels[abs(tail[0])] if tail else 0
         return learned, bj, self._hints(resolved, confl_pid)
 
@@ -451,21 +485,21 @@ class Solver:
         trail, reason = self.trail, self.reason
         need = {abs(q) for q in confl_lits}
         picked = []
-        for idx in range(len(trail) - 1, -1, -1):
-            v = abs(trail[idx])
+        for lit in reversed(trail):
+            v = abs(lit)
             if v in need:
-                picked.append(idx)
-                need.update(abs(q) for q in reason[v].clause)
+                r = reason[v]
+                picked.append(r)
+                need.update(abs(q) for q in r.clause)
         self.writer.add((), self._hints(picked, confl_pid))
 
-    def _hints(self, idxs, confl_pid):
-        """Hints of a resolution over the reasons of the trail entries at
-        `idxs`: their proof ids in trail order, each parity reason justified
+    def _hints(self, reasons, confl_pid):
+        """Hints of a resolution over `reasons`, given latest on the trail
+        first: their proof ids in trail order, each parity reason justified
         the first time it is resolved on, then the conflict's id."""
-        trail, reason, justify = self.trail, self.reason, self._justify
+        justify = self._justify
         hints = []
-        for idx in sorted(idxs):
-            r = reason[abs(trail[idx])]
+        for r in reversed(reasons):
             hints.append(r.pid if r.__class__ is _Clause else justify(r))
         hints.append(confl_pid)
         return hints
@@ -523,36 +557,39 @@ class Solver:
         return sorted((v if lval[v] else -v) for v in range(1, self.f.num_vars + 1))
 
     def _search(self):
+        trail, trail_lim = self.trail, self.trail_lim
+        check_time = self._check_time
+        # conflicts since the last restart, and the count that restarts
+        since_restart = 0
+        limit = luby(self.restarts + 1) * RESTART_BASE
         while True:
             confl = self._propagate()
             if confl is not None:
                 lits, pid = confl
                 self.conflicts += 1
-                self.conflicts_cur += 1
+                since_restart += 1
                 self.var_inc /= ACT_DECAY
-                if self.level == 0:
+                if not trail_lim:
                     self._derive_empty(lits, pid)
                     return UNSAT
                 learned, bj, hints = self._analyze(lits, pid)
                 cl = self._learn(learned, hints)
                 self._backtrack(bj)
                 self._enqueue(cl.clause[0], cl)
-                self._check_time()
+                check_time()
                 continue
-            self._check_time()
-            if (
-                self.level > 0
-                and self.conflicts_cur >= luby(self.restarts + 1) * RESTART_BASE
-            ):
+            check_time()
+            if trail_lim and since_restart >= limit:
                 self.restarts += 1
-                self.conflicts_cur = 0
+                since_restart = 0
+                limit = luby(self.restarts + 1) * RESTART_BASE
                 self._backtrack(0)
                 continue
             lit = self._decide()
             if lit is None:
                 return SAT
             self.decisions += 1
-            self.trail_lim.append(len(self.trail))
+            trail_lim.append(len(trail))
             if self.par is not None:
                 self.par_lim.append((self.par.assigned, self.par.true))
             self._enqueue(lit, None)
@@ -567,7 +604,6 @@ class Solver:
         try:
             if self.use_xor:
                 self._prepare_parity()
-            self.conflicts_cur = 0
             status = self._init_constraints()
             if status is None:
                 status = self._search()

@@ -419,13 +419,57 @@ class TestOptimizedInterpreter:
         assert "s SATISFIABLE" not in run.stdout
 
 
+# A header that declares 5,000,000 variables: per-literal solver state
+# alone then needs hundreds of MB.  The child caps its address space at
+# what it has mapped after loading the commands plus HEADROOM_MB, and
+# imports both commands' modules first, so only the command's own work
+# meets the cap.
+HUGE_CNF = "p cnf 5000000 1\n1 0\n"
+HEADROOM_MB = 64
+CAPPED = (
+    "import json, resource, sys\n"
+    "from xorcert import cli, lrat, solver\n"
+    "with open('/proc/self/statm') as fh:\n"
+    "    mapped = int(fh.read().split()[0]) * resource.getpagesize()\n"
+    "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+    f"resource.setrlimit(resource.RLIMIT_AS, (mapped + ({HEADROOM_MB} << 20), hard))\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux /proc")
+class TestMemoryLimit:
+    def run_capped(self, argv):
+        return subprocess.run([sys.executable, "-c", CAPPED, *argv], env=src_env(),
+                              capture_output=True, text=True, timeout=120)
+
+    def test_solve_reports_memory_error(self, tmp_path):
+        cnf = write(tmp_path / "huge.cnf", HUGE_CNF)
+        rep = tmp_path / "rep.jsonl"
+        run = self.run_capped(["solve", cnf, "--report", str(rep)])
+        assert (run.returncode, run.stdout) == (1, ""), run.stderr
+        assert run.stderr.startswith("error: MemoryError") and run.stderr.count("\n") == 1
+        row = json.loads(rep.read_text())
+        assert (row["status"], row["stop_reason"]) == ("ERROR", "MemoryError")
+
+    def test_check_reports_memory_error(self, tmp_path):
+        # one add step with 2,000,000 two-digit hints: splitting the line
+        # alone needs more than the headroom (one-byte tokens would all be
+        # one cached object)
+        cnf = write(tmp_path / "huge.cnf", HUGE_CNF)
+        proof = write(tmp_path / "p.lrat", "2 1 0 " + "10 " * 2_000_000 + "0\n")
+        run = self.run_capped(["check", cnf, proof])
+        assert (run.returncode, run.stdout) == (1, ""), run.stderr
+        assert run.stderr.startswith("error: MemoryError") and run.stderr.count("\n") == 1
+
+
 # Modules a command must leave unloaded: `check` runs the DIMACS reader and
 # the checker alone, and neither a clausal solve nor an xor-mode solve that
 # justifies no parity reason builds a BDD.
 UNLOADED = {
     "check": ["xorcert.solver", "xorcert.gauss", "xorcert.tbdd", "xorcert.bdd",
               "xorcert.benchgen", "dataclasses", "json"],
-    "solve": ["xorcert.tbdd", "xorcert.bdd", "dataclasses"],
+    "solve": ["xorcert.gauss", "xorcert.tbdd", "xorcert.bdd", "dataclasses"],
     "solve-xor": ["xorcert.tbdd", "xorcert.bdd", "dataclasses"],
 }
 

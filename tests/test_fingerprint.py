@@ -1,11 +1,13 @@
-"""Smoke test of tools/fingerprint.py on three tiny instances.  It pins no
-hash or count: the full set is for diffing two versions of the solver, and
-stays out of the test suite."""
+"""Smoke test of tools/fingerprint.py on three tiny instances and on one
+workload's lines.  It pins no hash or count: the full set is for diffing
+two versions of the solver, and stays out of the test suite."""
 
 import importlib.util
 import os
 import re
 from io import StringIO
+
+import pytest
 
 from xorcert import lrat
 from xorcert.benchgen import UrqConfig, gen_urquhart
@@ -16,9 +18,10 @@ TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 _spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
 fingerprint = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(fingerprint)
+workloads = fingerprint.workloads
 
 LINE = re.compile(
-    r"default-order/(?P<name>\S+) status=(?P<status>SAT|UNSAT) conflicts=\d+ decisions=\d+ "
+    r"(?P<label>[a-z-]+)/(?P<name>\S+) status=(?P<status>SAT|UNSAT) conflicts=\d+ decisions=\d+ "
     r"propagations=\d+ parity_propagations=\d+ proof_adds=(?P<adds>\d+) proof_deletes=\d+ "
     r"justifications=\d+ ext_vars=\d+ peak_bdd_nodes=\d+ gc_collections=\d+ "
     r"check=(?P<check>verified|-) proof_bytes=(?P<bytes>\d+) proof_sha256=[0-9a-f]{64} "
@@ -33,12 +36,30 @@ def test_one_line_per_instance(capsys):
     matches = [LINE.fullmatch(line) for line in lines]
     assert all(matches), lines
     assert [m["name"] for m in matches] == ["urq-m3-s1", "lpn-n6-unsat-s8", "lpn-n6-sat-s8"]
+    assert {m["label"] for m in matches} == {"default-order"}
     # a refutation is checked and has steps, and a SAT answer carries its
     # model's digest
     assert [(m["status"], m["check"], bool(m["model"])) for m in matches] == [
         ("UNSAT", "verified", False), ("UNSAT", "verified", False), ("SAT", "-", True)]
     assert all(int(m["adds"]) > 0 and int(m["bytes"]) > 0
                for m in matches if m["status"] == "UNSAT")
+
+
+def test_workload_keeps_only_its_lines(capsys):
+    assert fingerprint.main(["--workload", "urq-refute"]) == 0
+    matches = [LINE.fullmatch(line) for line in capsys.readouterr().out.splitlines()]
+    assert all(matches)
+    assert [(m["label"], m["name"]) for m in matches] == [
+        ("urq-refute", f"urq-m{m}-s{workloads.instance_seed(fingerprint.SEED, m, 0)}")
+        for m in workloads.URQ_SIZES]
+    assert {(m["status"], m["check"]) for m in matches} == {("UNSAT", "verified")}
+
+
+def test_unknown_workload_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        fingerprint.main(["--workload", "no-such-workload"])
+    assert exc.value.code == 2
+    assert "no-such-workload" in capsys.readouterr().err
 
 
 def test_add_digest_ignores_deletions(monkeypatch):

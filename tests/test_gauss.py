@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xorcert.formula import ParityConstraint
+from xorcert.benchgen import UrqConfig, gen_urquhart
+from xorcert.formula import ParityConstraint, extract_xors
 from xorcert.gauss import ParityEngine, ReasonRecord, bits
 
 
@@ -175,19 +176,36 @@ class TestRowAlgebra:
             for c in range(len(eng.var_of_col))
         ]
 
+    @pytest.mark.parametrize("system", ["urq-m5", "random"])
+    def test_sparsest_pivots_reach_the_lowest_index_rref(self, system):
+        # the RREF is unique for a column order, so pivoting on the sparsest
+        # row leaves the nonzero rows that the lowest-index rule leaves
+        if system == "urq-m5":
+            cons = extract_xors(gen_urquhart(UrqConfig(m=5, seed=5)).formula)
+        else:
+            cons = small_system(random.Random(7), nvars=30, nrows=60, allow_empty=True)
+        eng = ParityEngine(cons)
+        rows, phases, _, lowest_pivots = reference_full_reduce(eng, sparsest=False)
+        eng.full_reduce()
+        assert eng.pivot_of_row != lowest_pivots
+        assert ({(m, ph) for m, ph in zip(eng.rows, eng.phases) if m}
+                == {(m, ph) for m, ph in zip(rows, phases) if m})
 
-def reference_full_reduce(eng):
+
+def reference_full_reduce(eng, sparsest=True):
     """(rows, phases, shadow, pivot_of_row) after Gauss-Jordan by plain row
-    scans: for each column in order the first row not yet a pivot that has
-    a 1 there becomes its pivot and is summed into every other holder."""
+    scans: for each column in order, of the rows not yet a pivot that have
+    a 1 there, the one with the fewest 1s (the first on ties; with
+    `sparsest` False, the first) becomes its pivot and is summed into every
+    other holder."""
     rows, phases, shadow = list(eng.rows), list(eng.phases), list(eng.shadow)
     pivot_of_row = {}
     for col in range(len(eng.var_of_col)):
         bit = 1 << col
-        pr = next((r for r in range(len(rows))
-                   if r not in pivot_of_row and rows[r] & bit), None)
-        if pr is None:
+        holders = [r for r in range(len(rows)) if r not in pivot_of_row and rows[r] & bit]
+        if not holders:
             continue
+        pr = min(holders, key=lambda r: bin(rows[r]).count("1")) if sparsest else holders[0]
         pivot_of_row[pr] = col
         for r in range(len(rows)):
             if r != pr and rows[r] & bit:

@@ -363,10 +363,9 @@ class TestSearchMachinery:
                 self.trims += len(self.heap) > 2 * len(self.activity)
                 super()._rebuild_heap()
 
-            def _bump(self, v):
-                inc = self.var_inc
-                super()._bump(v)
-                self.rescales += self.var_inc != inc
+            def _rescale(self):
+                self.rescales += 1
+                super()._rescale()
 
         # lpn-xor workload instances with 580 to 1,181 conflicts
         for seed in (49013, 51013, 73013):
@@ -382,6 +381,62 @@ class TestSearchMachinery:
         assert [luby(i) for i in range(1, 16)] == [
             1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8,
         ]
+
+
+class TestTwoWatchedLiterals:
+    """After every `_propagate` and `_backtrack`, each attached clause sits
+    once in the watch list of `w[0]` and once in that of `w[1]`, and in no
+    other; at a propagation fixpoint, a clause with a false watch has its
+    other watch true."""
+
+    @pytest.mark.parametrize("use_xor", [False, True])
+    @pytest.mark.parametrize("n, seed, var_order", [(6, 8, False), (10, 3, False),
+                                                     (12, 32013, True)])
+    def test_watches_follow_w0_and_w1(self, use_xor, n, seed, var_order):
+        class Checked(Solver):
+            fixpoints = 0
+
+            def __init__(self, *a, **kw):
+                self.attached = []
+                super().__init__(*a, **kw)
+
+            def _attach(self, cl):
+                self.attached.append(cl)
+                super()._attach(cl)
+
+            def assert_watch_lists(self):
+                lists = {}  # id(clause) -> the literals whose lists hold it
+                nvars = self.f.num_vars
+                assert not self.watches[0]
+                for lit in [*range(1, nvars + 1), *range(-nvars, 0)]:
+                    for cl in self.watches[lit]:
+                        lists.setdefault(id(cl), []).append(lit)
+                assert len(lists) == len(self.attached)
+                for cl in self.attached:
+                    assert sorted(lists[id(cl)]) == sorted(cl.w[:2])
+
+            def _propagate(self):
+                out = super()._propagate()
+                self.assert_watch_lists()
+                if out is None:
+                    self.fixpoints += 1
+                    lval = self.lval
+                    for cl in self.attached:
+                        a, b = cl.w[:2]
+                        if lval[a] is False or lval[b] is False:
+                            assert lval[a] or lval[b], cl.w
+                return out
+
+            def _backtrack(self, lvl):
+                super()._backtrack(lvl)
+                self.assert_watch_lists()
+
+        inst = gen_lpn(LpnConfig(n=n, bound_offset=True, seed=seed))
+        s = Checked(inst.formula, use_xor=use_xor, proof_sink=StringIO(),
+                    var_order=inst.var_order if var_order else None)
+        r = s.solve()
+        assert r.status == UNSAT and r.conflicts > 20 and s.fixpoints > 20
+        assert len(s.attached) > inst.formula.num_clauses
 
 
 class TestLimits:

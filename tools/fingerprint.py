@@ -25,8 +25,10 @@ the instance has an order, with --no-xor on lpn-clausal), then five
 default-order xor-mode solves: lpn n=6 seed 8, n=14 seed 77 and n=16
 seed 2, urq m=8 seed 8, and lpn n=12 seed 2, whose at-most-(k-1) bound is
 satisfiable.  Instances come from perfbench/workloads.py,
-which this script only imports.  --instance FAMILY:SIZE:SEED[:unsat]
-(repeatable) runs those default-order xor-mode solves instead.
+which this script only imports.  --workload NAME (repeatable) keeps only
+the named workloads' lines of the default set.  --instance
+FAMILY:SIZE:SEED[:unsat] (repeatable) runs those default-order xor-mode
+solves instead.
 """
 
 from __future__ import annotations
@@ -72,13 +74,15 @@ def add_digest(proof: bytes, num_inputs: int) -> str:
     return h.hexdigest()
 
 
-def default_runs():
-    """(label, instance, use_xor) for the default set, instances unwritten."""
+def default_runs(names=None):
+    """(label, instance, use_xor) for the default set, instances unwritten;
+    only the lines of the workloads in `names` when it is given."""
     runs = []
     for wl in workloads.WORKLOADS.values():
-        for spec in workloads.specs(wl.family, SEED, wl.use_xor):
-            runs.append((wl.name, workloads.build(spec), wl.use_xor))
-    return runs + spec_runs(DEFAULT_ORDER)
+        if names is None or wl.name in names:
+            for spec in workloads.specs(wl.family, SEED, wl.use_xor):
+                runs.append((wl.name, workloads.build(spec), wl.use_xor))
+    return runs if names is not None else runs + spec_runs(DEFAULT_ORDER)
 
 
 def spec_runs(texts):
@@ -129,9 +133,11 @@ def main(argv=None) -> int:
     ap.add_argument("--instance", action="append",
                     help="run only this default-order xor-mode solve (repeatable), "
                          "e.g. urq:8:8 or lpn:14:77:unsat")
+    ap.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
+                    help="keep only this workload's lines of the default set (repeatable)")
     args = ap.parse_args(argv)
     src = os.path.abspath(args.src)
-    runs = spec_runs(args.instance) if args.instance else default_runs()
+    runs = spec_runs(args.instance) if args.instance else default_runs(args.workload)
     with tempfile.TemporaryDirectory() as workdir:
         for label, inst, use_xor in runs:
             workloads.write_instances([inst], workdir)
