@@ -47,14 +47,6 @@ class DeleteStep(NamedTuple):
     ids: tuple[int, ...]
 
 
-def add_line(sid, lits, hints) -> str:
-    return " ".join(map(str, (sid, *lits, 0, *hints, 0)))
-
-
-def delete_line(sid, ids) -> str:
-    return " ".join(map(str, (sid, "d", *ids, 0)))
-
-
 def iter_proof(lines):
     """Yield the steps of the proof in `lines`, one line at a time.  Lines
     may be str or UTF-8 bytes.
@@ -146,7 +138,8 @@ class ProofWriter:
         if self.adds + 1 > self.max_clauses:
             raise ProofLimitExceeded(f"proof clause budget {self.max_clauses} exhausted")
         self.last_id += 1
-        self.sink.write(add_line(self.last_id, lits, hints) + "\n")
+        self.sink.write(("%d" + " %d" * (len(lits) + len(hints) + 2) + "\n")
+                        % (self.last_id, *lits, 0, *hints, 0))
         self.adds += 1
         if not lits:
             self.empty_emitted = True
@@ -156,7 +149,7 @@ class ProofWriter:
         if not ids or self.empty_emitted:
             return None
         self.last_id += 1
-        self.sink.write(delete_line(self.last_id, ids) + "\n")
+        self.sink.write(("%d d" + " %d" * (len(ids) + 1) + "\n") % (self.last_id, *ids, 0))
         self.deletes += len(ids)
         return self.last_id
 

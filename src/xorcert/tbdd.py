@@ -25,7 +25,6 @@ when a two-literal defining clause fixes its level's variable, else two.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 
 from .bdd import _LEVEL_TERM, T0, T1, TRUE_SENTINEL, Bdd
 from .formula import ParityConstraint
@@ -67,11 +66,21 @@ def _clean(lits):
     return tuple(out)
 
 
+def _lemma_clause(u, v, w):
+    """The clause [-u, -v, w] of a walk triple, whose u is no terminal and
+    whose u and v are neither equal nor complementary.  It is a plain tuple
+    unless v is T1 or w is a terminal, u, v, -u or -v; those go through
+    `_clean`, which drops a false terminal or a repeated literal and gives
+    None for a tautology."""
+    if v == T1 or w in (T1, T0, u, v, -u, -v):
+        return _clean((-u, -v, w))
+    return (-u, -v, w)
+
+
 def _width(cand):
     return len(cand[1])
 
 
-@dataclass
 class Tbdd:
     """Trusted BDD: root handle plus the unit step asserting it.
 
@@ -80,10 +89,13 @@ class Tbdd:
     complemented edge, asserted as a negated extension variable.
     """
 
-    root: int
-    unit_id: int
-    constraint: ParityConstraint | None = None
-    dropped: bool = field(default=False, compare=False)
+    __slots__ = ("root", "unit_id", "constraint", "dropped")
+
+    def __init__(self, root: int, unit_id: int, constraint: ParityConstraint | None = None):
+        self.root = root
+        self.unit_id = unit_id
+        self.constraint = constraint
+        self.dropped = False
 
 
 class TbddEngine:
@@ -117,12 +129,13 @@ class TbddEngine:
         Down clauses (pivot -ref) go first so each up clause is blocked on
         its pivot against only its own siblings.
         """
-        w = self.writer
-        entry = []
-        for shape in ((-ref, -var, hi), (-ref, var, lo), (ref, -var, -hi), (ref, var, -lo)):
-            cl = _clean(shape)
-            entry.append(None if cl is None else (w.add(cl, ()), cl))
-        self.defs[ref] = tuple(entry)
+        add = self.writer.add
+        shapes = ((-ref, -var, hi), (-ref, var, lo), (ref, -var, -hi), (ref, var, -lo))
+        if hi == T1 or lo == T1 or lo == T0:  # hi is regular, so never T0
+            shapes = [_clean(cl) for cl in shapes]
+            self.defs[ref] = tuple(None if cl is None else (add(cl, ()), cl) for cl in shapes)
+        else:
+            self.defs[ref] = tuple((add(cl, ()), cl) for cl in shapes)
 
     def _reclaim_nodes(self, freed):
         for ref in freed:
@@ -160,35 +173,29 @@ class TbddEngine:
     def _emit_rup(self, lits, candidates):
         """Emit `lits` with exactly the hints that drive unit propagation to
         a conflict, in candidate order.  Satisfied candidates are skipped;
-        anything else out of shape means the lemma schedule is broken."""
-        assign = {abs(l): l < 0 for l in lits}
+        anything else out of shape means the lemma schedule is broken.  As
+        in `lrat.check`, `false` holds the literals assumed or propagated
+        false."""
+        false = set(lits)
         hints = []
         for cand in candidates:
             if cand is None:
                 continue
             cid, cl = cand
-            unit = None
-            nfree = 0
-            satisfied = False
+            unit = 0  # none yet: 0 is never a literal
             for l in cl:
-                v = abs(l)
-                if v not in assign:
-                    nfree += 1
-                    unit = l
-                    if nfree > 1:
-                        break
-                elif assign[v] == (l > 0):
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            if nfree == 0:
+                if l in false:
+                    continue
+                if -l in false:
+                    break  # satisfied
+                if unit:
+                    raise ProofEngineError(f"hint {cid} not unit while deriving {lits}")
+                unit = l
+            else:
                 hints.append(cid)
-                return self.writer.add(lits, hints)
-            if nfree > 1:
-                raise ProofEngineError(f"hint {cid} not unit while deriving {lits}")
-            hints.append(cid)
-            assign[abs(unit)] = unit > 0
+                if not unit:
+                    return self.writer.add(lits, hints)
+                false.add(-unit)
         raise ProofEngineError(f"no conflict while deriving {lits}")
 
     def _def_cand(self, u, role):
@@ -379,7 +386,7 @@ class TbddEngine:
                         raise ProofEngineError("implication failure: %d AND %d -> %d" % root)
                     hit = cache.get((u, v, w))
                     if hit is not None:
-                        done.append((w, (hit, _clean((-u, -v, w)))))
+                        done.append((w, (hit, _lemma_clause(u, v, w))))
                         continue
                     lw, wh, wl = node(w)
                 lu, uh, ul = node(u)
@@ -400,7 +407,7 @@ class TbddEngine:
                 w = b.mk_node(x, wh, wl)
                 w_at = wh != wl
             key = (u, v, w) if u < v else (v, u, w)
-            target = _clean((-u, -v, w))
+            target = _lemma_clause(u, v, w)
             if target is not None and key not in cache:
                 hi = [
                     self._def_cand(u, HD) if u_at else None,
@@ -423,7 +430,7 @@ class TbddEngine:
                     # close the lemma in one step
                     jid = self._emit_rup(target, defs)
                 else:
-                    hi_clause = _clean((-x, -u, -v, w))
+                    hi_clause = (-x, *target)
                     step_h = self._emit_rup(hi_clause, hi)
                     jid = self._emit_rup(target, [(step_h, hi_clause), *lo])
                     self.pending_deletes.append(step_h)

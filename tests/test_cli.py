@@ -452,6 +452,19 @@ class TestMemoryLimit:
         row = json.loads(rep.read_text())
         assert (row["status"], row["stop_reason"]) == ("ERROR", "MemoryError")
 
+    def test_solve_reports_memory_error_while_reading_inputs(self, tmp_path):
+        # checking a one-entry order against 300,000,000 declared variables
+        # needs more than the headroom, before any solver exists
+        cnf = write(tmp_path / "huge.cnf", "p cnf 300000000 1\n1 0\n")
+        order = write(tmp_path / "one.order", "1\n")
+        rep = tmp_path / "rep.jsonl"
+        run = self.run_capped(["solve", cnf, "--var-order", order, "--report", str(rep)])
+        assert (run.returncode, run.stdout) == (1, ""), run.stderr
+        assert run.stderr.startswith("error: MemoryError") and run.stderr.count("\n") == 1
+        (line,) = rep.read_text().splitlines()
+        row = json.loads(line)
+        assert (row["status"], row["stop_reason"]) == ("ERROR", "MemoryError")
+
     def test_check_reports_memory_error(self, tmp_path):
         # one add step with 2,000,000 two-digit hints: splitting the line
         # alone needs more than the headroom (one-byte tokens would all be
@@ -464,13 +477,15 @@ class TestMemoryLimit:
 
 
 # Modules a command must leave unloaded: `check` runs the DIMACS reader and
-# the checker alone, and neither a clausal solve nor an xor-mode solve that
-# justifies no parity reason builds a BDD.
+# the checker alone, neither a clausal solve nor an xor-mode solve that
+# justifies no parity reason builds a BDD, and a solve that does justify one
+# still loads no `dataclasses` (nor the `inspect`, `ast` and `dis` it pulls in).
 UNLOADED = {
     "check": ["xorcert.solver", "xorcert.gauss", "xorcert.tbdd", "xorcert.bdd",
               "xorcert.benchgen", "dataclasses", "json"],
     "solve": ["xorcert.gauss", "xorcert.tbdd", "xorcert.bdd", "dataclasses"],
     "solve-xor": ["xorcert.tbdd", "xorcert.bdd", "dataclasses"],
+    "solve-urq": ["dataclasses", "inspect", "ast", "dis", "xorcert.benchgen"],
 }
 
 
@@ -484,6 +499,11 @@ class TestImportSets:
             argv = ["check", cnf, write(tmp_path / "p.lrat", "5 1 0 1 2 0\n6 0 5 3 4 0\n")]
         elif command == "solve":
             argv = ["solve", cnf, "--no-xor", "--proof", proof]
+        elif command == "solve-urq":
+            # refuted by one greedy parity sum, which justifies its reason
+            cnf = str(tmp_path / "u3.cnf")
+            cli.main(["gen", "urquhart", "-m", "3", "--seed", "3", "-o", cnf])
+            argv = ["solve", cnf, "--proof", proof, "--report", str(tmp_path / "report.jsonl")]
         else:
             # an lpn-xor workload instance: clauses set every literal first,
             # so the parity engine hands over only the two unit rows of the
@@ -511,6 +531,9 @@ class TestImportSets:
             rep = json.loads((tmp_path / "report.jsonl").read_text())
             assert rep["num_xors"] > 0
             assert rep["parity_propagations"] == 2 and rep["justifications"] == 0
+        if command == "solve-urq":
+            assert "xorcert.tbdd" in loaded
+            assert json.loads((tmp_path / "report.jsonl").read_text())["justifications"] == 1
 
     def test_moved_names_keep_their_import_paths(self):
         from xorcert import bdd, lrat, tbdd

@@ -16,13 +16,19 @@ from xorcert.lrat import (
     ProofWriter,
     Rejected,
     Verified,
-    add_line,
     check,
-    delete_line,
     iter_proof,
     parse_proof,
 )
 from xorcert.solver import UNSAT, Solver
+
+
+def add_line(sid, lits, hints) -> str:
+    return " ".join(map(str, (sid, *lits, 0, *hints, 0)))
+
+
+def delete_line(sid, ids) -> str:
+    return " ".join(map(str, (sid, "d", *ids, 0)))
 
 
 def format_step(step) -> str:
@@ -52,6 +58,19 @@ class TestFormat:
 
     def test_delete_line(self):
         assert format_step(DeleteStep(12, (9, 10))) == "12 d 9 10 0"
+
+    def test_writer_matches_reference_lines(self):
+        # the empty clause, a hintless definition, negative literals and a
+        # delete, each written exactly as the reference helpers format it
+        sink = io.StringIO()
+        w = ProofWriter(sink, num_input_clauses=3)
+        assert w.add((7, -1, 5), ()) == 4
+        assert w.add((-2, -3), (1, 4, 2)) == 5
+        assert w.delete([4, 5]) == 6
+        assert w.add((), (1, 2)) == 7
+        want = [add_line(4, (7, -1, 5), ()), add_line(5, (-2, -3), (1, 4, 2)),
+                delete_line(6, [4, 5]), add_line(7, (), (1, 2))]
+        assert sink.getvalue() == "".join(line + "\n" for line in want)
 
     def test_parse_roundtrip(self):
         steps = steps_of(

@@ -43,6 +43,31 @@ def clause_tbdds(bench, ids=None):
     ]
 
 
+class TestEmitRup:
+    # a chain 1 or 2, 2 -> 3, 3 -> 4, not 4; clause 5 holds when 1 is false
+    F = CnfFormula(4, [(1, 2), (-2, 3), (-3, 4), (-4,), (-1, 3)])
+
+    def cands(self, *ids):
+        return [None if i is None else (i, self.F.clause(i)) for i in ids]
+
+    def test_skips_none_and_satisfied_and_stops_at_the_conflict(self):
+        b = Bench(self.F)
+        sid = b.engine._emit_rup((1,), self.cands(None, 5, 1, None, 2, 3, 4, 1))
+        (step,) = parse_proof(b.buf.getvalue())
+        assert step == AddStep(sid, (1,), (1, 2, 3, 4))
+        b.verify()
+
+    @pytest.mark.parametrize("ids, message", [
+        ((2, 1, 3, 4), r"hint 2 not unit while deriving \(1,\)"),
+        ((5, 1, 2), r"no conflict while deriving \(1,\)"),
+    ], ids=["not-unit", "no-conflict"])
+    def test_out_of_shape_candidates_raise(self, ids, message):
+        b = Bench(self.F)
+        with pytest.raises(ProofEngineError, match=message):
+            b.engine._emit_rup((1,), self.cands(*ids))
+        assert b.buf.getvalue() == ""
+
+
 class TestFromClause:
     def test_unit_clause(self):
         b = Bench(CnfFormula(2, [(1,)]))
