@@ -3,15 +3,25 @@
 An add line is ``<id> <lit>* 0 <hint>* 0``; a delete line is
 ``<id> d <id>* 0``.  Input clauses are implicitly numbered 1..C.  Hinted
 steps are checked by reverse unit propagation driven only by the listed
-hints, in order, with no search.  A step with an empty hint list is an
-extension-variable definition: it is accepted only when it is blocked on
-its first literal, whose variable must not occur in the input formula.
+hints, in order, with no search.
+
+A step with an empty hint list is an extension-variable definition: a
+blocked clause on its first literal, the pivot.  The checker keeps no index
+by variable, only `top`, the highest variable of the formula and of every
+add step so far, and the current run of definitions on one pivot variable,
+which a hinted step ends and a deletion does not.  A definition starts a
+run if its pivot variable is above `top`; any other must continue the run
+and be blocked against the run's live clauses.  They are its only clash
+partners, since no clause outside the run holds a variable above the top
+the run started above.  So a variable once used never starts a run again,
+even after all its clauses are deleted.
 
 Checking streams.  `iter_proof` parses one line at a time from any
 iterable of str or bytes lines (a file open in either mode works) and
 `check` consumes any iterable of steps, stopping at the first line that
 fails to parse or to check.  The checker's memory is bounded by the
-clauses live at each step, not by the length of the proof.
+clauses live at each step, not by the length of the proof or the size of
+its variables.
 """
 
 from __future__ import annotations
@@ -54,6 +64,7 @@ def iter_proof(lines):
     Raises ProofSyntaxError, prefixed with the 1-based line number, at the
     first malformed line, and for a line that cannot be decoded, whether
     this function or the iterable decodes it."""
+    new = tuple.__new__  # skips AddStep's Python-level __new__
     lineno = 0
     try:
         for lineno, raw in enumerate(lines, start=1):
@@ -89,7 +100,7 @@ def iter_proof(lines):
                 whole = False
             if not whole:
                 raise ProofSyntaxError(f"line {lineno}: add step needs two 0 terminators")
-            yield AddStep(nums[0], nums[1:z], nums[z + 1 : -1])
+            yield new(AddStep, (nums[0], nums[1:z], nums[z + 1 : -1]))
     except UnicodeDecodeError as e:  # raised by an iterable that decodes
         raise ProofSyntaxError(f"line {lineno + 1}: {e}") from None
 
@@ -176,99 +187,86 @@ def check(f: CnfFormula, steps, refutation: bool = True):
     Refutation mode additionally demands a final empty-clause step.
     """
     live: dict[int, tuple[int, ...]] = {i: cl for i, cl in enumerate(f.clauses, start=1)}
-    # occurrences are kept only for variables beyond the input range; those
-    # are the only legal pivots of definition steps.  Each variable's dict
-    # holds the ids of the live clauses on it as keys, in insertion order,
-    # which is ascending since ids only grow; an emptied dict is dropped.
-    occ: dict[int, dict[int, None]] = {}
     max_id = f.num_clauses
-    nvars = f.num_vars
-    visits = 0
-    adds = deletes = 0
+    top = f.num_vars
+    run_var, run = -1, []  # the current run's pivot variable (-1: none) and ids
+    visits = adds = deletes = 0
     has_empty = False
 
     for step in steps:
-        sid = step.id
+        sid = step[0]
         if has_empty:
             return Rejected(sid, "step after empty clause")
         if sid <= max_id:
             return Rejected(sid, f"id reuse: {sid} not above {max_id}")
         max_id = sid
 
-        if isinstance(step, DeleteStep):
-            for d in step.ids:
-                cl = live.pop(d, None)
-                if cl is None:
+        if type(step) is DeleteStep:
+            for d in step[1]:
+                if live.pop(d, None) is None:
                     return Rejected(sid, f"delete of non-live id {d}")
-                for l in cl:
-                    v = l if l > 0 else -l
-                    if v > nvars:
-                        ids = occ.get(v)
-                        # gone, or without d, when an earlier literal of this
-                        # clause on the same variable removed d
-                        if ids is not None:
-                            ids.pop(d, None)
-                            if not ids:
-                                del occ[v]
-            deletes += len(step.ids)
+            deletes += len(step[1])
             continue
 
-        lits = step.lits
-        hints = step.hints
+        _, lits, hints = step
         if hints:
+            run_var = -1
             # reverse unit propagation, driven by the hints alone: `false`
             # holds the literals assumed or propagated false.  A tautology
             # needs no hints.
             false = set(lits)
             if false.isdisjoint(map(neg, lits)):
-                last = len(hints) - 1
-                for pos, h in enumerate(hints):
+                it = iter(hints)
+                for h in it:
                     cl = live.get(h)
                     if cl is None:
                         return Rejected(sid, f"bad hint: id {h} not live")
+                    visits += len(cl)
                     unit = 0  # none yet: 0 is never a literal
                     for l in cl:
-                        visits += 1
                         if l in false:
                             continue
                         if unit or -l in false:
                             return Rejected(sid, f"hint {h} neither unit nor falsified")
                         unit = l
-                    if unit:
-                        false.add(-unit)
-                    elif pos != last:
-                        return Rejected(sid, f"conflict at hint {h} before final hint")
-                if unit:
+                    if not unit:
+                        break
+                    false.add(-unit)
+                else:
                     return Rejected(sid, "no conflict after final hint")
+                if next(it, None) is not None:
+                    return Rejected(sid, f"conflict at hint {h} before final hint")
+            has_empty = not lits
+        elif not lits:
+            return Rejected(sid, "empty clause needs hints")
         else:
-            if not lits:
-                return Rejected(sid, "empty clause needs hints")
             pivot = lits[0]
             pv = pivot if pivot > 0 else -pivot
-            if pv <= nvars:
-                return Rejected(sid, f"pivot not fresh: variable {pv} is an input variable")
-            rest = set(lits[1:])
-            for cid in occ.get(pv, ()):
-                d = live[cid]
-                if -pivot not in d:
-                    continue
-                # blocked check: every resolvent on the pivot must be a tautology
-                if not any(-l in rest for l in d if l != -pivot):
-                    return Rejected(
-                        sid, f"pivot not fresh: non-tautological resolvent with {cid}"
-                    )
+            if pv > top:
+                run_var, run = pv, [sid]
+            elif pv != run_var:
+                return Rejected(sid, f"pivot not fresh: variable {pv} not above {top}")
+            else:
+                # blocked check: a live clause of the run that holds -pivot
+                # must also hold the negation of another literal of the step
+                other = set(map(neg, lits))
+                other.discard(-pivot)
+                kept = []
+                for cid in run:
+                    d = live.get(cid)
+                    if d is None:
+                        continue
+                    if -pivot in d and other.isdisjoint(d):
+                        return Rejected(
+                            sid, f"pivot not fresh: non-tautological resolvent with {cid}")
+                    kept.append(cid)
+                kept.append(sid)
+                run = kept
+        for l in lits:  # on 3.11, cheaper than max() and min() on short clauses
+            if l > top or -l > top:
+                top = l if l > 0 else -l
         live[sid] = lits
-        for l in lits:
-            v = l if l > 0 else -l
-            if v > nvars:
-                ids = occ.get(v)
-                if ids is None:
-                    occ[v] = {sid: None}
-                else:
-                    ids[sid] = None
         adds += 1
-        if not lits:
-            has_empty = True
 
     if refutation and not has_empty:
         return Rejected(max_id, "refutation lacks empty clause")

@@ -206,7 +206,8 @@ class TestDeletions:
 
 
 class TestDefinitionSteps:
-    """Hintless adds must be blocked on a fresh (non-input) pivot."""
+    """Hintless adds must be blocked on a fresh (non-input) pivot; see
+    TestFreshPivots for what fresh means."""
 
     def test_fresh_definition_accepted(self):
         f = CnfFormula(2, [(1, 2)])
@@ -338,13 +339,17 @@ def reference_parse(text: str) -> list:
 def reference_check(f: CnfFormula, steps, refutation: bool = True):
     """The checker that preceded the compact one, with a set of clause ids
     per extension variable, kept as the oracle for the differential tests
-    below."""
+    below.  It takes the compact checker's freshness rule, but checks a
+    continued run's step as blocked against every live clause on its pivot,
+    not only the run's: that `check` needs no more is its soundness
+    argument, which the differential tests put to the test."""
     live: dict[int, tuple[int, ...]] = {i: cl for i, cl in enumerate(f.clauses, start=1)}
     # occurrence lists are kept only for variables beyond the input range;
     # those are the only legal pivots of definition steps
     occ: dict[int, set[int]] = {}
     max_id = f.num_clauses
-    nvars = f.num_vars
+    nvars = top = f.num_vars
+    run_var = None  # the pivot variable of the current run of definitions
     visits = 0
     adds = deletes = 0
     has_empty = False
@@ -376,6 +381,7 @@ def reference_check(f: CnfFormula, steps, refutation: bool = True):
         lits = step.lits
         hints = step.hints
         if hints:
+            run_var = None
             # reverse unit propagation, driven by the hints alone: `false`
             # holds the literals assumed or propagated false.  A tautology
             # needs no hints.
@@ -405,8 +411,9 @@ def reference_check(f: CnfFormula, steps, refutation: bool = True):
                 return Rejected(sid, "empty clause needs hints")
             pivot = lits[0]
             pv = pivot if pivot > 0 else -pivot
-            if pv <= nvars:
-                return Rejected(sid, f"pivot not fresh: variable {pv} is an input variable")
+            if pv != run_var and pv <= top:
+                return Rejected(sid, f"pivot not fresh: variable {pv} not above {top}")
+            run_var = pv
             rest = set(lits[1:])
             # lowest id first, as `check` reports it; set order would name an
             # arbitrary one of several clash partners
@@ -422,6 +429,7 @@ def reference_check(f: CnfFormula, steps, refutation: bool = True):
         live[sid] = lits
         for l in lits:
             v = l if l > 0 else -l
+            top = max(top, v)
             if v > nvars:
                 occ.setdefault(v, set()).add(sid)
         adds += 1
@@ -433,16 +441,86 @@ def reference_check(f: CnfFormula, steps, refutation: bool = True):
     return Verified(adds + deletes, adds, deletes, visits, has_empty)
 
 
+def _reordered(steps, order):
+    """The proof lines `steps` (token lists) in `order`, each line taking the
+    id its new position held, with hints and deleted ids renamed to match."""
+    rename = {steps[i][0]: steps[k][0] for k, i in enumerate(order)}
+    out = []
+    for i in order:
+        toks = steps[i]
+        refs = 2 if toks[1] == "d" else toks.index("0", 1) + 1
+        out.append(" ".join([rename[toks[0]], *toks[1:refs],
+                             *(rename.get(t, t) for t in toks[refs:])]))
+    return "\n".join(out) + "\n"
+
+
+def _definition_runs(steps):
+    """[start, end, pivot variable] of each run of hintless add lines on one
+    pivot variable in the proof lines `steps` (token lists)."""
+    runs = []
+    for i, toks in enumerate(steps):
+        if toks[1] != "d" and toks[-2] == "0":
+            v = abs(int(toks[1]))
+            if runs and runs[-1][1] == i and runs[-1][2] == v:
+                runs[-1][1] = i + 1
+            else:
+                runs.append([i, i + 1, v])
+    return runs
+
+
+def aimed_mutations(rng, corpus):
+    """Proofs broken against `check`'s definition rule, up to one of each
+    kind per corpus proof that has definitions: (1) a definition inside a
+    run renamed to the pivot of an earlier run; (2) a hinted step, with the
+    deletions after it, moved inside a definition run; (3) one node's first
+    definition moved inside the run of the node before it.  Each is
+    rejected at the renamed step, or at the first run step after the move,
+    as a pivot that is not fresh."""
+    out = []
+    for cnf_text, proof_text in corpus:
+        steps = [line.split() for line in proof_text.splitlines()]
+        runs = _definition_runs(steps)
+        renames = [(k, i) for k in range(1, len(runs))
+                   for i in range(runs[k][0] + 1, runs[k][1])]
+        if renames:
+            k, i = rng.choice(renames)
+            toks = steps[i][:]
+            toks[1] = ("-" if toks[1][0] == "-" else "") + str(runs[rng.randrange(k)][2])
+            out.append((cnf_text, "\n".join(map(" ".join, steps[:i] + [toks] + steps[i + 1:]))))
+        # (h, s): the line at index s moves to index h
+        into_run = []
+        for a, b, _ in runs:
+            h = a - 1
+            while h >= 0 and steps[h][1] == "d":
+                h -= 1
+            if b - a > 1 and h >= 0 and steps[h][-2] != "0":
+                into_run.append((h, a))
+        interleaved = [(r1[0] + 1, r2[0]) for r1, r2 in zip(runs, runs[1:])
+                       if r1[1] - r1[0] > 1 and r1[1] == r2[0]]
+        for moves in (into_run, interleaved):
+            if moves:
+                h, s = rng.choice(moves)
+                order = [*range(h), s, *range(h, s), *range(s + 1, len(steps))]
+                out.append((cnf_text, _reordered(steps, order)))
+    return out
+
+
 @pytest.fixture(scope="module")
-def mutated_proofs():
-    """At least 1,000 proof-side mutations from the criterion-7 generator."""
-    corpus = _robustness_corpus()
+def corpus():
+    return _robustness_corpus()
+
+
+@pytest.fixture(scope="module")
+def mutated_proofs(corpus):
+    """At least 1,000 proof-side mutations from the criterion-7 generator,
+    then the aimed mutations of the corpus."""
     rng = random.Random(303)
     out = []
     while len(out) < 1000:
         drawn = mutate_one(rng, corpus)
         if drawn is not None and not drawn[2]:
             out.append((parse_dimacs(drawn[0]), drawn[1]))
+    out += [(parse_dimacs(c), p) for c, p in aimed_mutations(rng, corpus)]
     return out
 
 
@@ -540,12 +618,16 @@ class TestCompactChecker:
 
     def test_matches_reference_on_mutated_proofs(self, mutated_proofs):
         kinds = set()
+        not_fresh = 0
         for f, text in mutated_proofs:
             lines = text.splitlines()
             want = _outcome(reference_check, f, lines)
             assert _outcome(check, f, lines) == want
             kinds.add(type(want))
+            not_fresh += isinstance(want, Rejected) and want.reason.startswith(
+                "pivot not fresh: variable")
         assert {Verified, Rejected, str} <= kinds
+        assert not_fresh > 0
 
     @staticmethod
     def same(f, *triples, refutation=False):
@@ -559,6 +641,7 @@ class TestCompactChecker:
         clash = ((2, (-3, 1), ()), (3, (3, 2), ()))  # resolvent (1, 2)
         r = self.same(f, *clash)
         assert isinstance(r, Rejected) and "resolvent with 2" in r.reason
+        # a deletion does not end the run on variable 3
         assert self.same(f, clash[0], (3, "d", (2,)), (4, (3, 2), ())).ok
 
     def test_deleted_clause_repeating_an_extension_variable(self):
@@ -611,6 +694,62 @@ class TestCompactChecker:
         assert r.ok and r.has_empty
 
 
+class TestFreshPivots:
+    """A hintless step continues the current run of definitions on its pivot
+    variable, or its pivot is above every variable used so far and it starts
+    a run.  The checker with a clause index per extension variable accepted
+    every proof that the first four tests reject, and the aimed mutations of
+    kinds (2) and (3)."""
+
+    same = staticmethod(TestCompactChecker.same)
+
+    def not_fresh(self, *triples):
+        r = self.same(CnfFormula(2, [(1, 2)]), *triples)
+        assert isinstance(r, Rejected) and r.reason.startswith("pivot not fresh:")
+        return r.reason
+
+    def test_redefinition_after_deletion(self):
+        # variable 3's clauses all go once node 4 is defined on it
+        head = ((2, (-3, 1), ()), (3, (3, -1), ()), (4, (-4, 3), ()),
+                (5, "d", (2, 3, 4)))
+        assert self.not_fresh(*head, (6, (-3, 2), ())).endswith("variable 3 not above 4")
+
+    def test_pivot_at_or_below_top_without_clash_partner(self):
+        assert self.not_fresh((2, (-4, 1), ()), (3, (-3, 2), ())).endswith(
+            "variable 3 not above 4")
+        assert self.not_fresh((2, (-3, -4, 1), ()), (3, (-4, 2), ())).endswith(
+            "variable 4 not above 4")
+
+    def test_variable_used_only_by_a_hinted_step(self):
+        # step 2 weakens input clause 1 by the extension variable 5
+        assert self.not_fresh((2, (1, 2, 5), (1,)), (3, (5, 1), ())).endswith(
+            "variable 5 not above 5")
+
+    def test_run_resumed_after_a_hinted_step(self):
+        head = ((2, (-3, 1), ()), (3, (1, 2), (1,)))
+        assert self.not_fresh(*head, (4, (3, -1), ())).endswith("variable 3 not above 3")
+
+    def test_huge_pivot_takes_no_memory_of_its_size(self):
+        f = CnfFormula(2, [(1, 2)])
+        traced = []
+        for v in (3, 10**15):
+            steps = steps_of((2, (-v, 1), ()), (3, (-v, 2), ()), (4, (v, -1, -2), ()))
+            tracemalloc.start()
+            try:
+                assert check(f, steps, refutation=False).ok
+                traced.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert traced[1] <= traced[0] + 256
+
+    def test_aimed_mutations_are_rejected(self, corpus):
+        aimed = aimed_mutations(random.Random(5), corpus)
+        assert len(aimed) == 36  # each kind, on each of the 12 parity-ring proofs
+        for cnf_text, proof_text in aimed:
+            r = check(parse_dimacs(cnf_text), iter_proof(proof_text.splitlines()))
+            assert isinstance(r, Rejected) and r.reason.startswith("pivot not fresh: variable")
+
+
 def test_check_memory_follows_live_clauses():
     # urq m=5 seed 6 is the m=5 instance of the benchmark's urq-refute
     # workload; the proof streams from its lines as `xorcert check` reads it
@@ -629,5 +768,8 @@ def test_check_memory_follows_live_clauses():
     finally:
         tracemalloc.stop()
     assert res.ok
-    # the set-per-variable checker needed 473 bytes per clause here
-    assert traced <= 400 * peak
+    # bytes per clause here: 473 with a set of clause ids per extension
+    # variable, 363 with a dict per variable, 254 with the watermark and the
+    # current run (316 and 208 when earlier tests have filled the interpreter's
+    # free lists, which tracing does not count)
+    assert traced <= 300 * peak
