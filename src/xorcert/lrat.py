@@ -21,11 +21,18 @@ iterable of str or bytes lines (a file open in either mode works) and
 `check` consumes any iterable of steps, stopping at the first line that
 fails to parse or to check.  The checker's memory is bounded by the
 clauses live at each step, not by the length of the proof or the size of
-its variables.
+its variables.  `forked_steps` runs `iter_proof` in a forked child, so that
+parsing and checking run on two cores; the parent trusts only a stream that
+ends in the child's end frame and a zero exit status.
 """
 
 from __future__ import annotations
 
+import builtins
+import contextlib
+import marshal
+import os
+from itertools import chain
 from operator import neg
 from typing import NamedTuple
 
@@ -127,6 +134,104 @@ def parse_proof(text: str) -> list:
     return list(iter_proof(text.splitlines()))
 
 
+# -- forked reader ------------------------------------------------------------
+
+READER_BATCH = 1000  # steps per frame
+
+
+class ProofReaderError(OSError):
+    """The forked reader stopped before its end frame or exited non-zero."""
+
+
+@contextlib.contextmanager
+def forked_steps(fh):
+    """Parse binary file `fh` with `iter_proof` in a forked child and yield
+    an iterator over its steps as plain tuples: `(id, lits, hints)` for an
+    add, `(id, ids)` for a delete.  Each frame is an 8-byte length and a
+    `marshal` payload: a batch of steps, None for the end, or the (class
+    name, message) of the child's exception, raised here after the steps
+    before it.  A stream cut short or a non-zero exit raises
+    ProofReaderError.  Leaving the block kills and reaps the child.  As with
+    any fork, the caller runs no other thread."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if not pid:
+        os.close(r)
+        _serve(fh, w)  # never returns
+    os.close(w)
+    pipe = os.fdopen(r, "rb")
+    status = None
+
+    def batches():
+        nonlocal status
+        frame = []
+        while True:
+            head = pipe.read(8)
+            if len(head) < 8:
+                break
+            size = int.from_bytes(head, "little")
+            body = pipe.read(size)
+            if len(body) < size:
+                break
+            frame = marshal.loads(body)
+            if frame.__class__ is not list:
+                break
+            yield frame
+        if frame.__class__ is tuple:
+            raise _reader_error(*frame)
+        _, status = os.waitpid(pid, 0)
+        if frame is not None or status:
+            raise ProofReaderError(f"proof reader ended before the end of the proof "
+                                   f"(exit status {os.waitstatus_to_exitcode(status)})")
+
+    try:
+        yield chain.from_iterable(batches())
+    finally:
+        pipe.close()
+        if status is None:
+            from signal import SIGKILL
+
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _serve(fh, w):
+    """The forked reader: frames into pipe end `w`, then os._exit, with
+    status 0 only after the end frame."""
+    code = 1
+    try:
+        out = os.fdopen(w, "wb")
+
+        def send(frame):
+            data = marshal.dumps(frame, 2)  # version 2 is the fastest both ways
+            out.write(len(data).to_bytes(8, "little") + data)
+            out.flush()
+
+        try:
+            batch = []
+            for step in iter_proof(fh):
+                batch.append(tuple(step))  # marshal takes no tuple subclass
+                if len(batch) == READER_BATCH:
+                    send(batch)
+                    batch = []
+            send(batch)
+            send(None)
+            code = 0
+        except Exception as e:  # an interrupt leaves with status 1 and no frame
+            send((type(e).__name__, str(e)))
+    finally:
+        os._exit(code)
+
+
+def _reader_error(name, message):
+    """The reader's exception rebuilt from its class name and message, so
+    that `main` prints it as on the inline path."""
+    cls = ProofSyntaxError if name == "ProofSyntaxError" else getattr(builtins, name, None)
+    if isinstance(cls, type) and issubclass(cls, Exception):
+        return cls(message)
+    return ProofReaderError(f"proof reader failed: {name}: {message}")
+
+
 class ProofWriter:
     """Buffers formatted steps into a text sink, allocating monotone ids.
 
@@ -182,7 +287,9 @@ class Rejected(NamedTuple):
 
 def check(f: CnfFormula, steps, refutation: bool = True):
     """Replay `steps`, any iterable of steps, against formula f.  Returns
-    Verified or Rejected at the first failing step.
+    Verified or Rejected at the first failing step.  A step is an AddStep,
+    a DeleteStep or the plain tuple of either; a deletion is the one of
+    length 2.
 
     Refutation mode additionally demands a final empty-clause step.
     """
@@ -201,7 +308,7 @@ def check(f: CnfFormula, steps, refutation: bool = True):
             return Rejected(sid, f"id reuse: {sid} not above {max_id}")
         max_id = sid
 
-        if type(step) is DeleteStep:
+        if len(step) == 2:
             for d in step[1]:
                 if live.pop(d, None) is None:
                     return Rejected(sid, f"delete of non-live id {d}")

@@ -548,17 +548,27 @@ class TbddEngine:
         n_inputs = len(items)
         floor = 0 if any(t.__class__ is ParityConstraint for t in items) else None
         items = dict(enumerate(items))
-        sup = {i: frozenset(t.vars if t.__class__ is ParityConstraint else t.constraint.vars)
+        sup = {i: t.vars if t.__class__ is ParityConstraint else t.constraint.vars
                for i, t in items.items()}
         holders: dict[int, set[int]] = {}
         for i, vs in sup.items():
             for x in vs:
                 holders.setdefault(x, set()).add(i)
+
+        def shared(vs):
+            """Live position -> how many variables of vs it holds."""
+            counts = {}
+            for x in vs:
+                for k in holders[x]:
+                    counts[k] = counts.get(k, 0) + 1
+            return counts
+
+        # a pair's symmetric difference is |a| + |b| - 2 * |a & b|
         heap = []
         for i, vs in sup.items():
-            for j in set().union(*(holders[x] for x in vs)):
+            for j, c in shared(vs).items():
                 if j > i:
-                    heap.append((len(vs ^ sup[j]), i, j))
+                    heap.append((len(vs) + len(sup[j]) - 2 * c, i, j))
         heapq.heapify(heap)
         next_pos = n_inputs
         while len(items) > 1:
@@ -587,9 +597,9 @@ class TbddEngine:
                 return s
             pos = next_pos
             next_pos += 1
-            vs = sup[pos] = frozenset(s.constraint.vars)
-            for k in set().union(*(holders[x] for x in vs)):
-                heapq.heappush(heap, (len(sup[k] ^ vs), k, pos))
+            vs = sup[pos] = s.constraint.vars
+            for k, c in shared(vs).items():
+                heapq.heappush(heap, (len(sup[k]) + len(vs) - 2 * c, k, pos))
             for x in vs:
                 holders[x].add(pos)
             items[pos] = s

@@ -609,6 +609,123 @@ class TestCheckCommand:
         )
 
 
+@pytest.fixture(scope="module")
+def large_check(tmp_path_factory):
+    """urq m=6 seed 6 and its 1.5 MB proof: above FORK_MIN_BYTES."""
+    tmp = tmp_path_factory.mktemp("large")
+    cnf, proof = str(tmp / "u6.cnf"), tmp / "u6.lrat"
+    cli.main(["gen", "urquhart", "-m", "6", "--seed", "6", "-o", cnf])
+    assert cli.main(["solve", cnf, "--proof", str(proof)]) == 20
+    assert proof.stat().st_size >= cli.FORK_MIN_BYTES
+    return cnf, proof
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedCheck:
+    """`check` parses a proof of at least FORK_MIN_BYTES in a forked reader
+    when two CPUs are usable; its output and exit code are the inline
+    path's, and it leaves no process behind."""
+
+    def run_both(self, monkeypatch, capsys, argv):
+        """(exit code, stdout, stderr) of `argv` forked, then inline."""
+        runs = []
+        for fork in (True, False):
+            monkeypatch.setattr(cli, "_forks_reader", lambda fh, fork=fork: fork)
+            code = cli.main(argv)
+            runs.append((code, *capsys.readouterr()))
+            assert_no_child_left()
+        return runs
+
+    def test_verified_as_inline(self, large_check, monkeypatch, capsys):
+        cnf, proof = large_check
+        with open(proof, "rb") as fh:
+            assert cli._forks_reader(fh)
+        forked, inline = self.run_both(monkeypatch, capsys, ["check", cnf, str(proof)])
+        assert forked == inline and forked[0] == 0 and forked[1].startswith("Verified: ")
+
+    def test_late_bad_token_is_the_same_error(self, large_check, tmp_path, monkeypatch,
+                                              capsys):
+        cnf, proof = large_check
+        lines = proof.read_text().splitlines(keepends=True)
+        k = len(lines) - 10
+        lines[k] = "zebra" + lines[k]
+        bad = write(tmp_path / "bad.lrat", "".join(lines))
+        forked, inline = self.run_both(monkeypatch, capsys, ["check", cnf, bad])
+        assert forked == inline == (1, "", f"error: line {k + 1}: bad step id "
+                                           f"{lines[k].split()[0]!r}\n")
+
+    def test_early_rejection_and_malformed_cnf(self, large_check, tmp_path, monkeypatch,
+                                               capsys):
+        cnf, proof = large_check
+        lines = proof.read_text().splitlines(keepends=True)
+        del lines[2]
+        bad = write(tmp_path / "bad.lrat", "".join(lines))
+        forked, inline = self.run_both(monkeypatch, capsys, ["check", cnf, bad])
+        assert forked == inline and forked[0] == 2 and forked[1].startswith("Rejected at step")
+        broken = write(tmp_path / "broken.cnf", "p cnf 2 1\n1 x 0\n")
+        forked, inline = self.run_both(monkeypatch, capsys, ["check", broken, str(proof)])
+        assert forked == inline and forked[0] == 1 and forked[2].startswith("error: ")
+
+    def test_dead_reader_is_an_error(self, large_check, monkeypatch, capsys):
+        # the fork inherits the patched parser, which dies after 5,000 steps
+        from xorcert import lrat
+
+        cnf, proof = large_check
+        parse = lrat.iter_proof
+
+        def dying(lines):
+            for n, st in enumerate(parse(lines)):
+                if n == 5000:
+                    os._exit(3)
+                yield st
+
+        monkeypatch.setattr(lrat, "iter_proof", dying)
+        assert cli.main(["check", cnf, str(proof)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: proof reader ended before the end of the proof "
+                       "(exit status 3)\n")
+        assert_no_child_left()
+
+    def test_inline_below_the_size_on_a_pipe_on_one_cpu_and_without_fork(
+            self, large_check, tmp_path, monkeypatch):
+        _, proof = large_check
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        small = write(tmp_path / "small.lrat", "x" * (cli.FORK_MIN_BYTES - 1))
+        with open(small, "rb") as fh:
+            assert not cli._forks_reader(fh)
+        with open(proof, "rb") as fh:
+            assert cli._forks_reader(fh)
+        r, w = os.pipe()
+        with os.fdopen(r, "rb") as fh, os.fdopen(w, "wb"):
+            assert not cli._forks_reader(fh)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with open(proof, "rb") as fh:
+            assert not cli._forks_reader(fh)
+        monkeypatch.delattr(os, "sched_getaffinity")  # then os.cpu_count decides
+        for cpus, forks in ((1, False), (None, False), (2, True)):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            with open(proof, "rb") as fh:
+                assert cli._forks_reader(fh) is forks
+        monkeypatch.delattr(os, "fork")
+        with open(proof, "rb") as fh:
+            assert not cli._forks_reader(fh)
+
+    def test_inline_path_forks_nothing(self, tmp_path, monkeypatch, capsys):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        cnf = write(tmp_path / "a.cnf", PAIRS_CNF)
+        proof = write(tmp_path / "p.lrat", "5 1 0 1 2 0\n6 0 5 3 4 0\n")
+        assert cli.main(["check", cnf, proof]) == 0
+        assert capsys.readouterr().out.startswith("Verified: 2 steps")
+
+
 class TestRunReport:
     FIELDS = {
         "instance", "mode", "status", "wall_time", "conflicts", "decisions",

@@ -1,4 +1,5 @@
 import io
+import os
 import random
 import tracemalloc
 from operator import neg
@@ -7,16 +8,19 @@ import pytest
 from test_acceptance import _robustness_corpus, mutate_one
 
 from xorcert.benchgen import UrqConfig, gen_urquhart
+from xorcert import lrat
 from xorcert.formula import CnfFormula, parse_dimacs
 from xorcert.lrat import (
     AddStep,
     DeleteStep,
     ProofLimitExceeded,
+    ProofReaderError,
     ProofSyntaxError,
     ProofWriter,
     Rejected,
     Verified,
     check,
+    forked_steps,
     iter_proof,
     parse_proof,
 )
@@ -773,3 +777,137 @@ def test_check_memory_follows_live_clauses():
     # current run (316 and 208 when earlier tests have filled the interpreter's
     # free lists, which tracing does not count)
     assert traced <= 300 * peak
+
+
+@pytest.fixture(scope="module")
+def large_proof(tmp_path_factory):
+    """urq m=6 seed 6 and its 1.5 MB proof file: above the size from which
+    `xorcert check` forks its reader."""
+    f = gen_urquhart(UrqConfig(m=6, seed=6)).formula
+    path = tmp_path_factory.mktemp("large") / "u6.lrat"
+    with open(path, "w") as sink:
+        assert Solver(f, proof_sink=sink).solve().status == UNSAT
+    assert path.stat().st_size > 1 << 20
+    return f, path
+
+
+def forked_check(f, path, **kw):
+    with open(path, "rb") as fh, forked_steps(fh) as steps:
+        return check(f, steps, **kw)
+
+
+def inline_check(f, path, **kw):
+    with open(path, "rb") as fh:
+        return check(f, iter_proof(fh), **kw)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedReader:
+    def test_same_verdict_as_inline(self, large_proof):
+        f, path = large_proof
+        res = forked_check(f, path)
+        assert res.ok and res == inline_check(f, path)
+        assert_no_child_left()
+
+    def test_steps_are_plain_tuples_in_file_order(self, large_proof):
+        _, path = large_proof
+        with open(path, "rb") as fh, forked_steps(fh) as steps:
+            got = list(steps)
+        assert {type(st) for st in got} == {tuple}
+        assert got == list(map(tuple, parse_proof(path.read_text())))
+
+    def test_check_takes_plain_tuples(self, large_proof):
+        f, path = large_proof
+        steps = parse_proof(path.read_text())
+        assert check(f, map(tuple, steps)) == check(f, steps)
+
+    def test_late_bad_token_raises_the_inline_error(self, large_proof, tmp_path):
+        f, path = large_proof
+        lines = path.read_text().splitlines(keepends=True)
+        k = len(lines) * 9 // 10
+        lines[k] = lines[k].replace(" 0 ", " 0 x ", 1)
+        bad = tmp_path / "bad.lrat"
+        bad.write_text("".join(lines))
+        errors = []
+        for run in (inline_check, forked_check):
+            with pytest.raises(ProofSyntaxError) as e:
+                run(f, bad)
+            errors.append(str(e.value))
+        assert errors[0] == errors[1] == f"line {k + 1}: bad token in add step"
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("code", [3, 0])
+    def test_reader_dying_mid_stream_never_verifies(self, large_proof, monkeypatch, code):
+        # the fork inherits the patched parser, which leaves after 5,000
+        # steps: without the end frame, even a zero exit status is an error
+        f, path = large_proof
+        parse = lrat.iter_proof
+
+        def dying(lines):
+            for n, st in enumerate(parse(lines)):
+                if n == 5000:
+                    os._exit(code)
+                yield st
+
+        monkeypatch.setattr(lrat, "iter_proof", dying)
+        seen = []
+        with pytest.raises(ProofReaderError, match=rf"exit status {code}\)$"):
+            with open(path, "rb") as fh, forked_steps(fh) as steps:
+                for st in steps:
+                    seen.append(st)
+        assert len(seen) <= 5000
+        assert_no_child_left()
+
+    def test_non_zero_exit_after_the_end_frame_never_verifies(self, large_proof,
+                                                              monkeypatch):
+        # the fork inherits the patched exit: it sends every step and the
+        # end frame, then leaves with status 7
+        f, path = large_proof
+        leave = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: leave(code or 7))
+        with pytest.raises(ProofReaderError, match=r"exit status 7\)$"):
+            forked_check(f, path)
+        assert_no_child_left()
+
+    def test_reader_failure_is_raised_with_its_class_and_message(self, large_proof,
+                                                                 monkeypatch):
+        f, path = large_proof
+
+        class Odd(Exception):
+            pass
+
+        for exc, cls, msg in ((OSError("[Errno 5] Input/output error"), OSError,
+                               "[Errno 5] Input/output error"),
+                              (MemoryError(), MemoryError, ""),
+                              (Odd("what"), ProofReaderError, "proof reader failed: Odd: what")):
+            def failing(lines, exc=exc):
+                yield from ()
+                raise exc
+
+            monkeypatch.setattr(lrat, "iter_proof", failing)
+            with pytest.raises(cls) as e:
+                forked_check(f, path)
+            assert type(e.value) is cls and str(e.value) == msg
+        assert_no_child_left()
+
+    def test_early_rejection_kills_and_reaps_the_reader(self, large_proof, tmp_path):
+        f, path = large_proof
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = "9 d 999999 0\n"
+        bad = tmp_path / "bad.lrat"
+        bad.write_text("".join(lines))
+        res = forked_check(f, bad)
+        assert res == inline_check(f, bad)
+        assert res.step_id == 9 and res.reason.startswith("id reuse: 9 not above")
+        assert_no_child_left()
+
+    def test_leaving_before_the_first_step_reaps_the_reader(self, large_proof):
+        _, path = large_proof
+        with pytest.raises(ValueError, match="malformed"):
+            with open(path, "rb") as fh, forked_steps(fh):
+                raise ValueError("malformed CNF")
+        assert_no_child_left()

@@ -628,7 +628,9 @@ class TestGreedySum:
 
     def test_schedule_matches_plain_greedy_on_urquhart(self, monkeypatch):
         # the schedule depends on supports alone, not on whether an input
-        # comes as a Tbdd or bare, nor on how a pair is proved
+        # comes as a Tbdd or bare, nor on how a pair is proved; its keys,
+        # counted through the variable index, are the reference's symmetric
+        # differences
         def con(t):
             return t if isinstance(t, ParityConstraint) else t.constraint
 
@@ -645,11 +647,14 @@ class TestGreedySum:
 
         monkeypatch.setattr(TbddEngine, "greedy_sum", logged_greedy)
         monkeypatch.setattr(TbddEngine, "_sum_pick", logged_pick)
-        inst = gen_urquhart(UrqConfig(m=5, seed=1))
-        assert Solver(inst.formula, proof_sink=io.StringIO()).solve().status == UNSAT
-        assert calls and sum(len(picks) for _, picks in calls) > 100
-        for inputs, picks in calls:
-            assert picks == reference_schedule([(frozenset(c.vars), c.phase) for c in inputs])
+        for m in range(5, 10):
+            calls.clear()
+            inst = gen_urquhart(UrqConfig(m=m, seed=1))
+            assert Solver(inst.formula, proof_sink=io.StringIO()).solve().status == UNSAT
+            assert calls and sum(len(picks) for _, picks in calls) > 100
+            for inputs, picks in calls:
+                want = reference_schedule([(frozenset(c.vars), c.phase) for c in inputs])
+                assert picks == want, m
 
     def test_chain_cancellation(self):
         rng = random.Random(17)
