@@ -4,7 +4,7 @@ Both generators are deterministic functions of their config and return an
 instance object carrying the CNF, the parity constraints it encodes, and a
 line-oriented manifest (one JSON object per constraint: variables, phase,
 source-clause range).  Small-instance status oracles live here too so the
-test suite and the bench harness can cross-validate solver output.
+test suite and the benchmark harness can cross-validate solver output.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Command-line surface: solve, check, gen, bench, and debug dumps.
+"""Command-line surface: solve, check, gen, and debug dumps.
 
 Exit codes follow SAT-competition convention for solve (10 satisfiable,
 20 unsatisfiable, 30 resource limit, 1 error); check exits 0 on Verified
@@ -24,7 +24,6 @@ import time
 from .formula import extract_xors, parse_dimacs, write_dimacs
 from .lrat import DEFAULT_MAX_PROOF_CLAUSES, check, forked_steps, iter_proof
 
-BENCH_TIMEOUT = 10.0
 ERROR = "ERROR"
 
 
@@ -244,114 +243,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-# -- bench ------------------------------------------------------------------
-
-
-def _bench_task(task):
-    """Generate, solve, and (for refutations) check one instance in one
-    mode.  Shaped for a worker pool: a frozen config and plain values."""
-    import tempfile
-
-    from .benchgen import UrqConfig, gen_lpn, gen_urquhart
-    from .solver import UNSAT
-
-    cfg, use_xor, timeout, check_proofs = task
-    if isinstance(cfg, UrqConfig):
-        inst = gen_urquhart(cfg)
-        name = f"urq-m{cfg.m}-s{cfg.seed}"
-        var_order = None
-    else:
-        inst = gen_lpn(cfg)
-        kind = "unsat" if cfg.bound_offset else "sat"
-        name = f"lpn-n{cfg.n}-{kind}-s{cfg.seed}"
-        var_order = inst.var_order
-    # the proof goes to a file and is checked from it as bytes, as `check`
-    # reads it, so no whole proof is held in memory
-    with tempfile.TemporaryDirectory(prefix="xorcert-bench-") as tmp:
-        path = os.path.join(tmp, "proof.lrat")
-        with open(path, "w") as sink:
-            res = _run_solver(
-                inst.formula,
-                use_xor=use_xor,
-                proof_sink=sink,
-                var_order=var_order,
-                timeout=timeout,
-            )
-        rep = run_report(name, res, timeout, "xor" if use_xor else "no-xor")
-        rep["verified"] = None
-        if check_proofs and res.status == UNSAT:
-            t0 = time.monotonic()
-            with open(path, "rb") as fh:
-                v = check(inst.formula, iter_proof(fh))
-            rep["verified"] = bool(v.ok)
-            rep["check_time"] = round(time.monotonic() - t0, 6)
-    return rep
-
-
-def _parse_range(text):
-    lo, _, hi = text.partition(":")
-    try:
-        return range(int(lo), int(hi) + 1)
-    except ValueError:
-        raise _InputError(f"range must be LO:HI with integer ends, not {text!r}") from None
-
-
-def cmd_bench(args) -> int:
-    import json
-
-    from .benchgen import LpnConfig, UrqConfig
-
-    _check_timeout(args.timeout)
-    if args.jobs < 1:
-        raise _InputError(f"--jobs must be at least 1, not {args.jobs}")
-    if args.both_modes and args.no_xor:
-        raise _InputError("--both-modes runs each instance in both modes; drop --no-xor")
-    # every config is built, and so checked, before any task runs
-    if args.family == "urq":
-        cfgs = [UrqConfig(m=m, p=args.p, seed=args.seed + m) for m in _parse_range(args.m_range)]
-    else:
-        cfgs = [
-            LpnConfig(n=n, bound_offset=unsat, seed=args.seed + n)
-            for n in _parse_range(args.n_range)
-            for unsat in (False, True)
-        ]
-    modes = (True, False) if args.both_modes else (not args.no_xor,)
-    tasks = [(cfg, mode, args.timeout, args.check) for cfg in cfgs for mode in modes]
-    if not tasks:
-        print("no instances")
-        return 0
-    # opened before any work, so a bad path costs no run
-    with (open(args.report, "a") if args.report else contextlib.nullcontext()) as report:
-        jobs = min(args.jobs, len(tasks))
-        if jobs > 1:
-            from multiprocessing import Pool
-
-            with Pool(jobs) as pool:
-                reports = pool.map(_bench_task, tasks)
-        else:
-            reports = [_bench_task(t) for t in tasks]
-        if report is not None:
-            for rep in reports:
-                report.write(json.dumps(rep) + "\n")
-    widths = (26, 7, 6)
-    print(f"{'instance':<{widths[0]}} {'mode':<{widths[1]}} {'status':<{widths[2]}} "
-          f"{'time':>8} {'steps':>9} {'verified':>8}")
-    for rep in reports:
-        ver = {None: "-", True: "yes", False: "NO"}[rep["verified"]]
-        print(
-            f"{rep['instance']:<{widths[0]}} {rep['mode']:<{widths[1]}} "
-            f"{rep['status']:<{widths[2]}} {rep['wall_time']:>8.3f} "
-            f"{rep['proof_adds']:>9} {ver:>8}"
-        )
-    for mode in sorted({r["mode"] for r in reports}):
-        vals = [r["par2"] for r in reports if r["mode"] == mode and r["par2"] is not None]
-        if vals:
-            print(f"PAR-2[{mode}] = {sum(vals) / len(vals):.3f} over {len(vals)} runs")
-    if any(r["verified"] is False for r in reports):
-        return 2
-    return 1 if any(r["status"] == ERROR for r in reports) else 0
-
-
 # -- debug dumps ------------------------------------------------------------
 
 
@@ -430,27 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     gl.add_argument("--manifest", default=None)
     gl.add_argument("--var-order-out", default=None)
     gl.set_defaults(fn=cmd_gen)
-
-    bp = sub.add_parser("bench", help="generate, solve, and check a suite")
-    bsub = bp.add_subparsers(dest="family", required=True)
-    bu = bsub.add_parser("urq")
-    bu.add_argument("--m-range", default="3:6")
-    bu.add_argument("-p", type=int, default=50)
-    bl = bsub.add_parser("lpn")
-    bl.add_argument("--n-range", default="8:12")
-    for b in (bu, bl):
-        b.add_argument("--seed", type=int, default=0)
-        b.add_argument("--timeout", type=float, default=BENCH_TIMEOUT)
-        b.add_argument("--no-xor", action="store_true")
-        b.add_argument(
-            "--both-modes",
-            action="store_true",
-            help="run each instance with and without parity reasoning",
-        )
-        b.add_argument("--no-check", dest="check", action="store_false")
-        b.add_argument("--jobs", type=int, default=1)
-        b.add_argument("--report")
-        b.set_defaults(fn=cmd_bench)
 
     dp = sub.add_parser("bdd-dump", help="DOT dump of a recovered constraint's BDD")
     dp.add_argument("cnf")

@@ -2,12 +2,13 @@
 
 Everything runs in-process through cli.main so exit codes and printed
 output are asserted directly, with files routed through tmp_path; only the
-`python -O` checks, the per-command module sets and the bench worker pool
+`python -O` checks, the memory-capped runs and the per-command module sets
 need processes of their own.
 """
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -184,23 +185,10 @@ class TestBadOptionValues:
     def test_lpn_negative_rows(self, capsys):
         self.one_error(capsys, ["gen", "lpn", "-n", "8", "--m", "-3"])
 
-    def test_range_without_colon(self, capsys):
-        err = self.one_error(capsys, ["bench", "urq", "--m-range", "3"])
-        assert "'3'" in err
-
-    def test_range_with_bad_ends(self, capsys):
-        err = self.one_error(capsys, ["bench", "lpn", "--n-range", "x:y"])
-        assert "'x:y'" in err
-
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_solve_timeout_not_positive_finite(self, tmp_path, capsys, value):
         cnf = write(tmp_path / "a.cnf", "p cnf 2 2\n1 2 0\n-1 0\n")
         err = self.one_error(capsys, ["solve", cnf, "--timeout", value])
-        assert "--timeout" in err
-
-    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
-    def test_bench_timeout_not_positive_finite(self, capsys, value):
-        err = self.one_error(capsys, ["bench", "urq", "--m-range", "3:3", "--timeout", value])
         assert "--timeout" in err
 
     @pytest.mark.parametrize("value", ["-1", "0"])
@@ -210,27 +198,17 @@ class TestBadOptionValues:
         assert "--max-proof-clauses" in err
 
     @pytest.mark.parametrize("argv, message", [
-        (["urq", "--m-range", "3:3", "-p", "10"], "p must lie in [25, 75]"),
-        (["lpn", "--n-range", "2:3"], "n must be at least 4"),
-    ], ids=["urq-p", "lpn-n"])
-    def test_bench_generator_limits(self, tmp_path, capsys, monkeypatch, argv, message):
-        # checked before any task runs or any report line is written
-        monkeypatch.setattr(cli, "_bench_task", lambda task: pytest.fail("task ran"))
-        rep = tmp_path / "bench.jsonl"
-        err = self.one_error(capsys, ["bench", *argv, "--report", str(rep)])
+        (["urquhart", "-m", "3", "-p", "10"], "p must lie in [25, 75]"),
+        (["urquhart", "-m", "2"], "m must be at least 3"),
+        (["lpn", "-n", "2"], "n must be at least 4"),
+        (["lpn", "-n", "8", "--corrupt-prob", "1.0"], "corrupt_prob must lie in [0, 1)"),
+    ], ids=["urq-p", "urq-m", "lpn-n", "lpn-corrupt-prob"])
+    def test_gen_generator_limits(self, tmp_path, capsys, argv, message):
+        # the instance is built before any output is opened
+        out = tmp_path / "x.cnf"
+        err = self.one_error(capsys, ["gen", *argv, "-o", str(out)])
         assert err == f"error: {message}\n"
-        assert not rep.exists()
-
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_bench_jobs_below_one(self, capsys, value):
-        err = self.one_error(capsys, ["bench", "urq", "--m-range", "3:3", "--jobs", value])
-        assert "--jobs" in err
-
-    def test_both_modes_with_no_xor(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_bench_task", lambda task: pytest.fail("task ran"))
-        err = self.one_error(capsys, ["bench", "urq", "--m-range", "3:3", "--both-modes",
-                                      "--no-xor"])
-        assert "--both-modes" in err and "--no-xor" in err
+        assert not out.exists()
 
 
 class TestSolveInputErrors:
@@ -277,8 +255,6 @@ UNWRITABLE_OUTPUTS = {
                                          "-o", bad],
     "solve-report": lambda tmp, bad: ["solve", write(tmp / "x.cnf", THREE_XOR_CNF),
                                       "--report", bad],
-    "bench-report": lambda tmp, bad: ["bench", "urq", "--m-range", "3:3", "--seed", "5",
-                                      "--report", bad],
 }
 
 
@@ -290,7 +266,7 @@ class TestUnwritableOutputs:
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and str(bad) in err
         assert len(err.splitlines()) == 1
-        # solve and bench open their report before any work
+        # solve opens its report before any work
         assert out == ""
 
 
@@ -323,21 +299,6 @@ class TestEngineFailures:
         assert row["status"] == "ERROR"
         assert row["stop_reason"] == type(exc).__name__
         assert row["par2"] == pytest.approx(10.0)
-
-    @pytest.mark.parametrize("exc", ENGINE_FAILURES, ids=lambda e: type(e).__name__)
-    def test_bench_row_is_error(self, tmp_path, capsys, monkeypatch, exc):
-        rep = tmp_path / "bench.jsonl"
-        fail_solves(monkeypatch, exc)
-        rc = cli.main(["bench", "urq", "--m-range", "3:3", "--seed", "5",
-                       "--report", str(rep)])
-        assert rc == 1
-        out, err = capsys.readouterr()
-        assert " ERROR " in out
-        assert err == f"error: {type(exc).__name__}: {exc}\n"
-        row = json.loads(rep.read_text())
-        assert row["status"] == "ERROR"
-        assert row["stop_reason"] == type(exc).__name__
-        assert row["verified"] is None
 
 
 # Run under `python -O`, which strips assert statements: a search that ends
@@ -773,101 +734,6 @@ class TestRunReport:
         assert finished["par2"] == pytest.approx(finished["wall_time"])
 
 
-class TestBench:
-    def test_table_and_report(self, tmp_path, capsys):
-        rep = tmp_path / "bench.jsonl"
-        rc = cli.main(["bench", "urq", "--m-range", "3:3", "--seed", "5",
-                       "--timeout", "30", "--report", str(rep)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "instance" in out and "verified" in out
-        assert "PAR-2[xor]" in out
-        rows = [json.loads(l) for l in rep.read_text().splitlines()]
-        assert len(rows) == 1
-        assert rows[0]["verified"] is True
-        assert rows[0]["par2"] is not None
-
-    def test_worker_pool_matches_one_process(self, tmp_path):
-        # in a process of its own, so the two forked workers import the
-        # solver themselves rather than inherit it from this one
-        keys = ("instance", "mode", "status", "proof_adds", "verified")
-        rows = {}
-        for jobs in ("1", "2"):
-            rep = tmp_path / f"bench{jobs}.jsonl"
-            run = subprocess.run(
-                [sys.executable, "-m", "xorcert.cli", "bench", "urq", "--m-range", "3:4",
-                 "--seed", "5", "--timeout", "60", "--jobs", jobs, "--report", str(rep)],
-                env=src_env(), capture_output=True, text=True, timeout=300,
-            )
-            assert run.returncode == 0, run.stderr
-            reports = map(json.loads, rep.read_text().splitlines())
-            rows[jobs] = [[r[k] for k in keys] for r in reports]
-        assert rows["1"] == rows["2"]
-        assert [r[0] for r in rows["1"]] == ["urq-m3-s8", "urq-m4-s9"]
-        assert all(r[2] == "UNSAT" and r[4] is True for r in rows["1"])
-
-    @pytest.mark.parametrize("m_range, tasks, pool_sizes", [("3:3", 1, []), ("3:4", 2, [2])],
-                             ids=["one-task", "two-tasks"])
-    def test_pool_capped_at_task_count(self, capsys, monkeypatch, m_range, tasks, pool_sizes):
-        # --jobs 8 starts no more workers than there are tasks, and one task
-        # runs in this process
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [fn(t) for t in items]
-
-        monkeypatch.setattr("multiprocessing.Pool", InProcessPool)
-        rc = cli.main(["bench", "urq", "--m-range", m_range, "--seed", "5",
-                       "--timeout", "30", "--no-check", "--jobs", "8"])
-        assert rc == 0
-        assert sizes == pool_sizes
-        assert capsys.readouterr().out.count("urq-m") == tasks
-
-    def test_check_reads_bytes_lines_from_a_file(self, capsys, monkeypatch):
-        # each proof is checked as `check` reads it, streamed from a file
-        # opened "rb", not from a copy held in memory
-        sources, line_types = [], set()
-        iter_proof = cli.iter_proof
-
-        def recording(fh):
-            sources.append((fh.mode, os.path.isfile(fh.name)))
-
-            def lines():
-                for line in fh:
-                    line_types.add(type(line))
-                    yield line
-
-            return iter_proof(lines())
-
-        monkeypatch.setattr(cli, "iter_proof", recording)
-        rc = cli.main(["bench", "urq", "--m-range", "3:3", "--seed", "5", "--timeout", "30"])
-        assert rc == 0 and "yes" in capsys.readouterr().out
-        assert sources == [("rb", True)]
-        assert line_types == {bytes}
-
-    def test_empty_suite_is_ok(self, capsys):
-        assert cli.main(["bench", "urq", "--m-range", "5:4"]) == 0
-        assert "no instances" in capsys.readouterr().out
-
-    def test_lpn_suite_covers_both_bounds(self, capsys):
-        rc = cli.main(["bench", "lpn", "--n-range", "8:8", "--seed", "2",
-                       "--timeout", "30"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "lpn-n8-sat-s10" in out
-        assert "lpn-n8-unsat-s10" in out
-
-
 class TestDebugDumps:
     def test_gj_trace_layout(self, tmp_path, capsys):
         cnf = write(tmp_path / "x.cnf", THREE_XOR_CNF)
@@ -938,3 +804,34 @@ class TestSeedEnv:
         monkeypatch.delenv("XORCERT_SEED")
         cli.main(["gen", "urquhart", "-m", "3", "--seed", "4", "-o", str(b)])
         assert a.read_text() == b.read_text()
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_commands():
+    """Every `xorcert …` line of README's `sh` blocks, comments stripped."""
+    out, in_sh = [], False
+    with open(README) as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("```"):
+                in_sh = line == "```sh"
+                continue
+            argv = shlex.split(line, comments=True) if in_sh else []
+            if argv[:1] == ["xorcert"]:
+                out.append(argv[1:])
+    return out
+
+
+class TestReadme:
+    def test_commands_parse(self, capsys):
+        commands = readme_commands()
+        assert len(commands) >= 6
+        parser = cli.build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: xorcert {' '.join(argv)}\n"
+                            f"{capsys.readouterr().err}")

@@ -2,14 +2,15 @@ import io
 import os
 import random
 import tracemalloc
+from itertools import chain, islice
 from operator import neg
 
 import pytest
 from test_acceptance import _robustness_corpus, mutate_one
 
 from xorcert.benchgen import UrqConfig, gen_urquhart
-from xorcert import lrat
-from xorcert.formula import CnfFormula, parse_dimacs
+from xorcert import cli, lrat
+from xorcert.formula import CnfFormula, parse_dimacs, write_dimacs
 from xorcert.lrat import (
     AddStep,
     DeleteStep,
@@ -24,7 +25,7 @@ from xorcert.lrat import (
     iter_proof,
     parse_proof,
 )
-from xorcert.solver import UNSAT, Solver
+from xorcert.solver import SAT, UNSAT, Solver
 
 
 def add_line(sid, lits, hints) -> str:
@@ -472,6 +473,19 @@ def _definition_runs(steps):
     return runs
 
 
+def _rename_sites(runs):
+    """(k, i) for each line i of definition run k > 0 but the run's first."""
+    return [(k, i) for k in range(1, len(runs)) for i in range(runs[k][0] + 1, runs[k][1])]
+
+
+def _pivot_renamed(rng, toks, runs, k):
+    """Definition line `toks` with its pivot renamed to that of a run before
+    run k."""
+    toks = toks[:]
+    toks[1] = ("-" if toks[1][0] == "-" else "") + str(runs[rng.randrange(k)][2])
+    return toks
+
+
 def aimed_mutations(rng, corpus):
     """Proofs broken against `check`'s definition rule, up to one of each
     kind per corpus proof that has definitions: (1) a definition inside a
@@ -484,12 +498,10 @@ def aimed_mutations(rng, corpus):
     for cnf_text, proof_text in corpus:
         steps = [line.split() for line in proof_text.splitlines()]
         runs = _definition_runs(steps)
-        renames = [(k, i) for k in range(1, len(runs))
-                   for i in range(runs[k][0] + 1, runs[k][1])]
+        renames = _rename_sites(runs)
         if renames:
             k, i = rng.choice(renames)
-            toks = steps[i][:]
-            toks[1] = ("-" if toks[1][0] == "-" else "") + str(runs[rng.randrange(k)][2])
+            toks = _pivot_renamed(rng, steps[i], runs, k)
             out.append((cnf_text, "\n".join(map(" ".join, steps[:i] + [toks] + steps[i + 1:]))))
         # (h, s): the line at index s moves to index h
         into_run = []
@@ -779,14 +791,26 @@ def test_check_memory_follows_live_clauses():
     assert traced <= 300 * peak
 
 
+def urq_proof(tmp_path_factory, m):
+    """urq m=M seed M and its proof file."""
+    f = gen_urquhart(UrqConfig(m=m, seed=m)).formula
+    path = tmp_path_factory.mktemp(f"urq{m}") / f"u{m}.lrat"
+    with open(path, "w") as sink:
+        assert Solver(f, proof_sink=sink).solve().status == UNSAT
+    return f, path
+
+
+@pytest.fixture(scope="module")
+def small_proof(tmp_path_factory):
+    """urq m=3 seed 3 and its 194 KB proof file."""
+    return urq_proof(tmp_path_factory, 3)
+
+
 @pytest.fixture(scope="module")
 def large_proof(tmp_path_factory):
     """urq m=6 seed 6 and its 1.5 MB proof file: above the size from which
     `xorcert check` forks its reader."""
-    f = gen_urquhart(UrqConfig(m=6, seed=6)).formula
-    path = tmp_path_factory.mktemp("large") / "u6.lrat"
-    with open(path, "w") as sink:
-        assert Solver(f, proof_sink=sink).solve().status == UNSAT
+    f, path = urq_proof(tmp_path_factory, 6)
     assert path.stat().st_size > 1 << 20
     return f, path
 
@@ -911,3 +935,96 @@ class TestForkedReader:
             with open(path, "rb") as fh, forked_steps(fh):
                 raise ValueError("malformed CNF")
         assert_no_child_left()
+
+
+def satisfiable_twin(m):
+    """The formula of `xorcert gen urquhart -m M --seed M --parity even`,
+    urq m=M seed M with one charge flipped.  It is known satisfiable without
+    any checker code: the solver's model satisfies each of its clauses."""
+    odd = gen_urquhart(UrqConfig(m=m, seed=m)).constraints
+    twin = gen_urquhart(UrqConfig(m=m, seed=m, parity="even"))
+    flipped = [(a, b) for a, b in zip(odd, twin.constraints) if a != b]
+    assert len(flipped) == 1 and flipped[0][0].vars == flipped[0][1].vars
+    res = Solver(twin.formula).solve()
+    assert res.status == SAT
+    true = set(res.model)
+    assert all(true.intersection(cl) for cl in twin.formula.clauses)
+    return twin.formula
+
+
+MUTATIONS = ("drop-lit", "negate-lit", "replace-lit", "drop-hint", "swap-hints", "replace-hint")
+
+
+def mutated_step(rng, toks, kind, top):
+    """Add-line tokens `toks` with one mutation of `kind`, or None when the
+    step has nothing to mutate that way.  A replacement literal is drawn
+    over variables 1..top, a replacement hint over the ids below the
+    step's own."""
+    z = toks.index("0", 1)
+    sid, lits, hints = toks[0], toks[1:z], toks[z + 1:-1]
+    items = lits if kind.endswith("lit") else hints
+    if not items or (kind == "swap-hints" and len(set(hints)) < 2):
+        return None
+    j = rng.randrange(len(items))
+    if kind.startswith("drop"):
+        del items[j]
+    elif kind == "negate-lit":
+        items[j] = str(-int(items[j]))
+    elif kind == "swap-hints":
+        k = rng.choice([k for k, h in enumerate(hints) if h != hints[j]])
+        items[j], items[k] = items[k], items[j]
+    else:
+        old = items[j]
+        while items[j] == old:
+            items[j] = str(rng.choice((1, -1)) * rng.randint(1, top) if kind == "replace-lit"
+                           else rng.randrange(1, int(sid)))
+    return [sid, *lits, "0", *hints, "0"]
+
+
+class TestSatisfiableTwins:
+    """`gen urquhart --parity even` at the same m and seed flips one charge,
+    and the twin is satisfiable, so no refutation of it may be Verified: a
+    proof of the odd instance, mutated or not, must be Rejected on the
+    twin, whatever a second checker would say."""
+
+    @pytest.mark.parametrize("m, proof", [(3, "small_proof"), (6, "large_proof")])
+    def test_proof_rejected_on_its_twin(self, request, tmp_path, capsys, m, proof):
+        f, path = request.getfixturevalue(proof)
+        twin = satisfiable_twin(m)
+        assert inline_check(f, path).ok
+        for run in (inline_check, forked_check):
+            assert isinstance(run(twin, path), Rejected)
+            assert_no_child_left()
+        cnf = tmp_path / "twin.cnf"
+        cnf.write_text(write_dimacs(twin))
+        assert cli.main(["check", str(cnf), str(path)]) == 2
+        assert capsys.readouterr().out.startswith("Rejected at step ")
+        assert_no_child_left()
+
+    def test_mutations_rejected_on_the_twin(self, small_proof):
+        f, path = small_proof
+        twin = satisfiable_twin(3)
+        lines = path.read_text().splitlines()
+        steps = [line.split() for line in lines]
+        # the lines before the first one that hints a clause of the flipped
+        # charge read the same against both formulas, and the check stops at
+        # the first failing step, so only a mutation up to that line can
+        # change the verdict
+        flipped = {str(i) for i, (a, b) in enumerate(zip(f.clauses, twin.clauses), 1) if a != b}
+        cut = 1 + next(i for i, toks in enumerate(steps)
+                       if flipped.intersection(toks[toks.index("0", 1) + 1:]))
+        adds = [i for i in range(cut) if steps[i][1] != "d"]
+        top = max(abs(int(t)) for i in adds for t in steps[i][1:steps[i].index("0", 1)])
+        rng = random.Random(26)
+        mutants = [(i, mutated_step(rng, steps[i], kind, top))
+                   for i in adds for kind in MUTATIONS for _ in range(8)]
+        runs = _definition_runs(steps)
+        mutants += [(i, _pivot_renamed(rng, steps[i], runs, k))
+                    for k, i in _rename_sites(runs) if i < cut for _ in range(4)]
+        mutants = {(i, " ".join(toks)) for i, toks in mutants
+                   if toks is not None and toks != steps[i]}
+        assert len(mutants) >= 200
+        for i, line in sorted(mutants):
+            proof = chain(islice(lines, i), [line], islice(lines, i + 1, None))
+            r = check(twin, iter_proof(proof))
+            assert isinstance(r, Rejected), (i, line)
