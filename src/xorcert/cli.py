@@ -99,40 +99,20 @@ def _diagnostic(e: BaseException) -> str:
     return f"error: {type(e).__name__}" + (f": {e}" if str(e) else "")
 
 
-def _error_result(e: BaseException, t0: float):
-    """An ERROR result for failure `e` of a solve started at t0, after its
-    one-line diagnostic on stderr."""
-    from .solver import SolveResult
-
-    print(_diagnostic(e), file=sys.stderr)
-    return SolveResult(ERROR, elapsed=time.monotonic() - t0, stop_reason=type(e).__name__)
-
-
-def _run_solver(formula, **kw):
-    """Solver(formula, **kw).solve(), with an engine failure, running out of
-    memory while building the solver included, turned into an ERROR result
-    and a one-line diagnostic on stderr."""
-    from .solver import Solver
-
-    t0 = time.monotonic()
-    try:
-        return Solver(formula, **kw).solve()
-    except _engine_errors() as e:
-        return _error_result(e, t0)
-
-
 def cmd_solve(args) -> int:
     import json
 
-    from .solver import LIMIT, SAT, UNSAT, checked_order
+    from .solver import LIMIT, SAT, UNSAT, Solver, SolveResult, checked_order
 
     _check_timeout(args.timeout)
     if args.max_proof_clauses < 1:
         raise _InputError(f"--max-proof-clauses must be at least 1, not {args.max_proof_clauses}")
-    # the report opens first, so running out of memory while reading the
-    # inputs still writes its line; the proof opens once they are read, so a
-    # rejected input leaves no proof file, and before the solve, so a bad
-    # path costs no solve
+    # the report opens first, so a failure while reading the inputs still
+    # writes its line; the proof opens once they are read, so a rejected
+    # input leaves no proof file, and before the solve, so a bad path costs
+    # no solve.  An engine failure anywhere from the read to the end of the
+    # solve, running out of memory included, becomes an ERROR result timed
+    # from the start of the read, after its one-line diagnostic on stderr.
     with contextlib.ExitStack() as stack:
         report = stack.enter_context(open(args.report, "a")) if args.report else None
         t0 = time.monotonic()
@@ -144,21 +124,21 @@ def cmd_solve(args) -> int:
                     var_order = checked_order(_read_var_order(args.var_order), f.num_vars)
                 except (OSError, ValueError) as e:
                     raise _InputError(f"bad variable order file: {e}") from None
-        except MemoryError as e:
-            res = _error_result(e, t0)
-        else:
             try:
                 sink = stack.enter_context(open(args.proof, "w")) if args.proof else None
             except OSError as e:
                 raise _InputError(f"cannot write proof: {e}") from None
-            res = _run_solver(
+            res = Solver(
                 f,
                 use_xor=not args.no_xor,
                 proof_sink=sink,
                 max_proof_clauses=args.max_proof_clauses,
                 var_order=var_order,
                 timeout=args.timeout,
-            )
+            ).solve()
+        except _engine_errors() as e:
+            print(_diagnostic(e), file=sys.stderr)
+            res = SolveResult(ERROR, elapsed=time.monotonic() - t0, stop_reason=type(e).__name__)
         if report is not None:
             rep = run_report(args.cnf, res, args.timeout, "no-xor" if args.no_xor else "xor")
             report.write(json.dumps(rep) + "\n")

@@ -16,8 +16,7 @@ trail literals, adds its columns to the two bit sets and scans only the
 rows that hold one of them, since only those can have lost a free column.
 It keeps no per-row state, so a row rewrite needs no repair beyond the
 column index, and undo is the search restoring a pair of bit sets it
-saved.  A full-scan `propagate` over an explicit assignment, which reads
-no engine state, is kept alongside as the slow reference path.
+saved.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ class ParityEngine:
             self.shadow.append(1 << i)
             for c in bits(m):
                 self.col_rows[c] |= 1 << i
-        self.pivot_of_row: dict[int, int] = {}
         # propagation state: bit sets of the assigned and of the True columns
         self.assigned = 0
         self.true = 0
@@ -125,7 +123,6 @@ class ParityEngine:
                 check_time()
             pr = min(bits(eligible), key=lambda r: rows[r].bit_count())
             pivot_rows |= 1 << pr
-            self.pivot_of_row[pr] = col
             self.eliminate_column(pr, col)
 
     # -- assignment bookkeeping ---------------------------------------------
@@ -180,29 +177,6 @@ class ParityEngine:
                 touched |= col_rows[c]
         self.assigned, self.true = assigned, true
         return self._scan(touched)
-
-    # -- reference path ------------------------------------------------------
-
-    def propagate(self, assignment: dict[int, bool]) -> list[ReasonRecord]:
-        """Full scan under an explicit assignment, which alone it reads;
-        conflicts and unit rows reported in row order.  Reference
-        implementation for `on_assign`."""
-        assigned = true = 0
-        for v, val in assignment.items():
-            c = self.col_of.get(v)
-            if c is not None:
-                assigned |= 1 << c
-                if val:
-                    true |= 1 << c
-        out = []
-        for r, m in enumerate(self.rows):
-            free = m & ~assigned
-            if not free:
-                if (self.phases[r] ^ (m & true).bit_count()) & 1:
-                    out.append(self._row_record(r, None, true))
-            elif not free & (free - 1):
-                out.append(self._row_record(r, free.bit_length() - 1, true))
-        return out
 
     # -- debugging -----------------------------------------------------------
 

@@ -34,7 +34,7 @@ from xorcert.formula import (
 from xorcert.lrat import ProofSyntaxError, check, parse_proof
 from xorcert.solver import SAT, UNSAT, LIMIT, Solver
 
-from test_gauss import add_row_into
+from test_gauss import add_row_into, full_scan
 
 
 def report(num, ok, detail):
@@ -225,11 +225,11 @@ def test_criterion_8_justification_and_gc_replay():
     sink2 = StringIO()
     s2 = Solver(f2, proof_sink=sink2)
     s2._prepare_parity()
-    rec = next(r for r in s2.par.propagate({1: True}) if r.row == 0)
+    rec = next(r for r in full_scan(s2.par, {1: True}) if r.row == 0)
     s2._justify(rec)
     assert check(f2, parse_proof(sink2.getvalue()), refutation=False).ok
     add_row_into(s2.par, 1, 0)
-    rec2 = next(r for r in s2.par.propagate({1: True}) if r.row == 0)
+    rec2 = next(r for r in full_scan(s2.par, {1: True}) if r.row == 0)
     s2._justify(rec2)
     s2.tb.flush_deletes()
     v2 = check(f2, parse_proof(sink2.getvalue()), refutation=False)

@@ -285,12 +285,25 @@ def fail_solves(monkeypatch, exc):
     monkeypatch.setattr("xorcert.solver.Solver.solve", boom)
 
 
+def fail_reads(monkeypatch, exc):
+    def boom(text):
+        raise exc
+
+    monkeypatch.setattr("xorcert.cli.parse_dimacs", boom)
+
+
 class TestEngineFailures:
-    @pytest.mark.parametrize("exc", ENGINE_FAILURES, ids=lambda e: type(e).__name__)
-    def test_solve_reports_error(self, tmp_path, capsys, monkeypatch, exc):
+    # one handler turns a failure anywhere from reading the inputs to the
+    # end of the solve into the ERROR row: each failure is raised in the
+    # solve, and again while reading the CNF
+    @pytest.mark.parametrize("fail, exc", [
+        pytest.param(fail, e, id=prefix + type(e).__name__)
+        for fail, prefix in [(fail_solves, ""), (fail_reads, "read-")] for e in ENGINE_FAILURES
+    ])
+    def test_solve_reports_error(self, tmp_path, capsys, monkeypatch, fail, exc):
         cnf = write(tmp_path / "a.cnf", "p cnf 2 1\n1 -2 0\n")
         rep = tmp_path / "rep.jsonl"
-        fail_solves(monkeypatch, exc)
+        fail(monkeypatch, exc)
         assert cli.main(["solve", cnf, "--report", str(rep), "--timeout", "5"]) == 1
         out, err = capsys.readouterr()
         assert err == f"error: {type(exc).__name__}: {exc}\n"

@@ -21,9 +21,9 @@ def small_system(rng, nvars=6, nrows=6, allow_empty=False):
 
 
 def row_constraint(eng, r):
-    """Row r of the matrix as a constraint over its columns' variables."""
-    m = eng.rows[r]
-    vs = tuple(eng.var_of_col[c] for c in range(m.bit_length()) if m >> c & 1)
+    """Row r of the matrix as a constraint over its columns' variables,
+    sorted, as `ParityConstraint` requires under any column order."""
+    vs = tuple(sorted(eng.var_of_col[c] for c in bits(eng.rows[r])))
     return ParityConstraint(vs, eng.phases[r])
 
 
@@ -146,13 +146,13 @@ class TestRowAlgebra:
             assert semantic_row(cons, eng, r) == row_constraint(eng, r)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_full_reduce_is_rref(self, seed):
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_full_reduce_is_rref(self, seed, shuffled):
         rng = random.Random(seed)
         cons = small_system(rng)
-        eng = ParityEngine(cons)
+        eng = ParityEngine(cons, column_vars=rng.sample(range(1, 7), 6) if shuffled else None)
         eng.full_reduce()
-        for pr, col in eng.pivot_of_row.items():
+        for pr, col in pivots(eng).items():
             holders = [r for r in range(len(eng.rows)) if eng.rows[r] >> col & 1]
             assert holders == [pr]
         for r in range(len(eng.rows)):
@@ -170,7 +170,7 @@ class TestRowAlgebra:
                 add_row_into(eng, *rng.sample(range(n), 2))
         want = reference_full_reduce(eng)
         eng.full_reduce()
-        assert (eng.rows, eng.phases, eng.shadow, eng.pivot_of_row) == want
+        assert (eng.rows, eng.phases, eng.shadow, pivots(eng)) == want
         assert eng.col_rows == [
             sum(1 << r for r in range(n) if eng.rows[r] >> c & 1)
             for c in range(len(eng.var_of_col))
@@ -187,9 +187,16 @@ class TestRowAlgebra:
         eng = ParityEngine(cons)
         rows, phases, _, lowest_pivots = reference_full_reduce(eng, sparsest=False)
         eng.full_reduce()
-        assert eng.pivot_of_row != lowest_pivots
+        assert pivots(eng) != lowest_pivots
         assert ({(m, ph) for m, ph in zip(eng.rows, eng.phases) if m}
                 == {(m, ph) for m, ph in zip(rows, phases) if m})
+
+
+def pivots(eng):
+    """Row -> pivot column, read off the rows after `full_reduce`: in
+    reduced row echelon form each nonzero row's pivot is its lowest column,
+    and every other row is zero."""
+    return {r: (m & -m).bit_length() - 1 for r, m in enumerate(eng.rows) if m}
 
 
 def reference_full_reduce(eng, sparsest=True):
@@ -213,6 +220,28 @@ def reference_full_reduce(eng, sparsest=True):
                 phases[r] ^= phases[pr]
                 shadow[r] ^= shadow[pr]
     return rows, phases, shadow, pivot_of_row
+
+
+def full_scan(eng, assignment):
+    """Records of every row under `assignment`, a variable -> bool dict,
+    which alone it reads: conflicts and unit rows reported in row order.
+    The reference for the engine's `on_assign`."""
+    assigned = true = 0
+    for v, val in assignment.items():
+        c = eng.col_of.get(v)
+        if c is not None:
+            assigned |= 1 << c
+            if val:
+                true |= 1 << c
+    out = []
+    for r, m in enumerate(eng.rows):
+        free = m & ~assigned
+        if not free:
+            if (eng.phases[r] ^ (m & true).bit_count()) & 1:
+                out.append(eng._row_record(r, None, true))
+        elif not free & (free - 1):
+            out.append(eng._row_record(r, free.bit_length() - 1, true))
+    return out
 
 
 def implied_by(cons, clause, nvars):
@@ -256,7 +285,7 @@ class TestFullScanPropagate:
             for v in range(1, nvars + 1)
             if rng.random() < 0.6
         }
-        for rec in eng.propagate(asg):
+        for rec in full_scan(eng, asg):
             check_record_shape(cons, eng, rec, asg)
             assert implied_by(cons, rec.clause, nvars)
         assert (eng.assigned, eng.true) == before, "full scan must not touch propagation state"
@@ -265,13 +294,13 @@ class TestFullScanPropagate:
         cons = [ParityConstraint((1, 2), 1), ParityConstraint((1, 2), 0)]
         eng = ParityEngine(cons)
         eng.full_reduce()
-        recs = eng.propagate({})
+        recs = full_scan(eng, {})
         assert [is_conflict(r, value_in({})) for r in recs] == [True]
         assert recs[0].clause == ()
 
     def test_unit_row_propagates_with_no_premises(self):
         eng = ParityEngine([ParityConstraint((3,), 1)])
-        recs = eng.propagate({})
+        recs = full_scan(eng, {})
         assert recs == [ReasonRecord((3,), 0b1, 0)]
 
 
@@ -313,7 +342,7 @@ def run_scan(cons, order, decisions):
     i = 0
     while True:
         progress = False
-        for rec in eng.propagate(assigned):
+        for rec in full_scan(eng, assigned):
             if is_conflict(rec, value_in(assigned)):
                 return assigned, rec
             lit = rec.clause[0]
@@ -381,7 +410,7 @@ class TestBatchPath:
             touched = {r for r, m in enumerate(eng.rows) if any(m >> c & 1 for c in cols)}
             recs = eng.on_assign(batch)
             # only the rows holding a column of the batch can change records
-            scan = eng.propagate({abs(l): l > 0 for l in trail})
+            scan = full_scan(eng, {abs(l): l > 0 for l in trail})
             assert recs == [r for r in scan if r.row in touched]
 
 

@@ -13,7 +13,7 @@ from xorcert.gauss import ReasonRecord
 from xorcert.lrat import check, parse_proof
 from xorcert.solver import LIMIT, SAT, UNSAT, Solver, luby
 
-from test_gauss import add_row_into, is_conflict, row_constraint
+from test_gauss import add_row_into, full_scan, is_conflict, row_constraint
 
 
 def solve_formula(f: CnfFormula, **kw):
@@ -497,7 +497,7 @@ class TestRowModificationInvalidatesJustificationCache:
         f, s, sink = self.build()
         # after reduction row 0 is x1^x3=0 with origin {0,1}
         assert row_constraint(s.par, 0) == ParityConstraint((1, 3), 0)
-        recs = s.par.propagate({1: True})
+        recs = full_scan(s.par, {1: True})
         rec = next(r for r in recs if r.row == 0)
         pid1 = s._justify(rec)
         adds_after_first = s.writer.adds
@@ -506,7 +506,7 @@ class TestRowModificationInvalidatesJustificationCache:
         # modify the row; the cached sum must be dropped and rebuilt
         add_row_into(s.par, 1, 0)
         assert row_constraint(s.par, 0) == ParityConstraint((1, 2), 1)
-        rec2 = next(r for r in s.par.propagate({1: True}) if r.row == 0)
+        rec2 = next(r for r in full_scan(s.par, {1: True}) if r.row == 0)
         pid2 = s._justify(rec2)
         assert pid2 != pid1
         s.tb.flush_deletes()
