@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formula import CnfFormula, ParityConstraint, xor_encoding_clauses
 
@@ -170,7 +170,6 @@ class LpnInstance:
     degenerate: bool
     constraints: list[ParityConstraint]
     var_order: list[int]
-    blocks: dict = field(default_factory=dict)
 
     def manifest_lines(self):
         header = {
@@ -279,15 +278,7 @@ def gen_lpn(cfg: LpnConfig) -> LpnInstance:
         + list(xor_aux)
         + list(range(1, n + 1))
     )
-    blocks = {
-        "solution": (1, n),
-        "corruption": (n + 1, n + m),
-        "card_aux": (card_aux_base, card_aux_base + len(card_aux) - 1),
-        "xor_aux": (xor_aux_base, xor_aux_base + len(xor_aux) - 1),
-    }
-    return LpnInstance(
-        cfg, f, target, rows, k, bound, degenerate, constraints, order, blocks
-    )
+    return LpnInstance(cfg, f, target, rows, k, bound, degenerate, constraints, order)
 
 
 # -- oracles ----------------------------------------------------------------

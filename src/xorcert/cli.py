@@ -5,6 +5,9 @@ Exit codes follow SAT-competition convention for solve (10 satisfiable,
 and 2 on Rejected.  Reports are JSON-lines so harnesses can consume them
 without scraping the human-readable table.
 
+An unusable input (a ValueError or OSError) and an internal failure (any
+other Exception) both exit 1 with one `error:` line; see `main`.
+
 Each command imports the engines it runs inside its own body, so a process
 loads only what its command needs: `check` loads the DIMACS reader and the
 checker, and neither a clausal `solve` nor an xor-mode `solve` that
@@ -27,16 +30,15 @@ from .lrat import DEFAULT_MAX_PROOF_CLAUSES, check, forked_steps, iter_proof
 ERROR = "ERROR"
 
 
-class _InputError(ValueError):
-    """Unusable input: `main` prints `error: <message>` and exits 1, as it
-    does for every ValueError (a malformed or undecodable DIMACS file or
-    proof, out-of-range generator settings) and every OSError (an
-    unreadable input or an unwritable output path)."""
+def _diagnostic(e: BaseException) -> str:
+    """`error: <class>: <message>`, or `error: <class>` when the message is
+    empty, as a MemoryError's usually is."""
+    return f"error: {type(e).__name__}" + (f": {e}" if str(e) else "")
 
 
 def _check_timeout(timeout):
     if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
-        raise _InputError(f"--timeout must be a positive number of seconds, not {timeout}")
+        raise ValueError(f"--timeout must be a positive number of seconds, not {timeout}")
 
 
 def _read_cnf(path: str):
@@ -49,7 +51,7 @@ def _read_xors(args):
     f = _read_cnf(args.cnf)
     cons = extract_xors(f)
     if not cons:
-        raise _InputError("no parity constraints recovered")
+        raise ValueError("no parity constraints recovered")
     return f, cons
 
 
@@ -82,23 +84,6 @@ def run_report(name: str, res, timeout, mode: str) -> dict:
 # -- solve ------------------------------------------------------------------
 
 
-def _engine_errors():
-    """Internal failures of a solve: reported as status ERROR with the
-    exception class as stop_reason, a one-line diagnostic and exit 1, never
-    a traceback.  An except clause evaluates this only while an exception
-    propagates, so catching the BDD engines' errors loads no BDD module."""
-    from .bdd import BddCapacityError
-    from .tbdd import ProofEngineError
-
-    return (RecursionError, ProofEngineError, BddCapacityError, AssertionError, MemoryError)
-
-
-def _diagnostic(e: BaseException) -> str:
-    """`error: <class>: <message>`, or `error: <class>` when the message is
-    empty, as a MemoryError's usually is."""
-    return f"error: {type(e).__name__}" + (f": {e}" if str(e) else "")
-
-
 def cmd_solve(args) -> int:
     import json
 
@@ -106,13 +91,13 @@ def cmd_solve(args) -> int:
 
     _check_timeout(args.timeout)
     if args.max_proof_clauses < 1:
-        raise _InputError(f"--max-proof-clauses must be at least 1, not {args.max_proof_clauses}")
+        raise ValueError(f"--max-proof-clauses must be at least 1, not {args.max_proof_clauses}")
     # the report opens first, so a failure while reading the inputs still
     # writes its line; the proof opens once they are read, so a rejected
     # input leaves no proof file, and before the solve, so a bad path costs
-    # no solve.  An engine failure anywhere from the read to the end of the
-    # solve, running out of memory included, becomes an ERROR result timed
-    # from the start of the read, after its one-line diagnostic on stderr.
+    # no solve.  An input error goes on to `main`; any other failure from
+    # the read to the end of the solve becomes an ERROR result timed from
+    # the start of the read, after its one-line diagnostic on stderr.
     with contextlib.ExitStack() as stack:
         report = stack.enter_context(open(args.report, "a")) if args.report else None
         t0 = time.monotonic()
@@ -123,11 +108,11 @@ def cmd_solve(args) -> int:
                 try:
                     var_order = checked_order(_read_var_order(args.var_order), f.num_vars)
                 except (OSError, ValueError) as e:
-                    raise _InputError(f"bad variable order file: {e}") from None
+                    raise ValueError(f"bad variable order file: {e}") from None
             try:
                 sink = stack.enter_context(open(args.proof, "w")) if args.proof else None
             except OSError as e:
-                raise _InputError(f"cannot write proof: {e}") from None
+                raise ValueError(f"cannot write proof: {e}") from None
             res = Solver(
                 f,
                 use_xor=not args.no_xor,
@@ -136,7 +121,9 @@ def cmd_solve(args) -> int:
                 var_order=var_order,
                 timeout=args.timeout,
             ).solve()
-        except _engine_errors() as e:
+        except (ValueError, OSError):
+            raise
+        except Exception as e:
             print(_diagnostic(e), file=sys.stderr)
             res = SolveResult(ERROR, elapsed=time.monotonic() - t0, stop_reason=type(e).__name__)
         if report is not None:
@@ -231,7 +218,7 @@ def cmd_bdd_dump(args) -> int:
 
     f, cons = _read_xors(args)
     if not 0 <= args.index < len(cons):
-        raise _InputError(f"constraint index out of range (0..{len(cons) - 1})")
+        raise ValueError(f"constraint index out of range (0..{len(cons) - 1})")
     con = cons[args.index]
     b = Bdd(list(range(1, f.num_vars + 1)))
     root = b.parity_bdd(con.vars, con.phase)
@@ -318,13 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """One failure rule for every command: a ValueError or OSError is an
+    input error, `error: <message>`; any other Exception is an internal
+    failure, `error: <class>: <message>`.  Both exit 1 without a traceback."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except MemoryError as e:  # outside a solve, e.g. in `check`
+    except Exception as e:
         print(_diagnostic(e), file=sys.stderr)
         return 1
 

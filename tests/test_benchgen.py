@@ -197,18 +197,26 @@ class TestNoisyParityFamily:
         assert {(c.vars, c.phase) for c in inst.constraints} <= ext
 
     def test_var_order_structure(self):
-        inst = gen_lpn(LpnConfig(n=8, seed=1))
-        assert sorted(inst.var_order) == list(range(1, inst.formula.num_vars + 1))
+        # seed 1 draws no corruption (bound 0, no counter aux); seed 3 draws
+        # two, so the counter has aux variables in both bound settings
         n, m = 8, 16
-        lo, hi = inst.blocks["card_aux"]
-        card = list(range(lo, hi + 1)) if hi >= lo else []
-        xlo, xhi = inst.blocks["xor_aux"]
-        assert inst.var_order == (
-            card
-            + list(range(n + 1, n + m + 1))
-            + list(range(xlo, xhi + 1))
-            + list(range(1, n + 1))
-        )
+        for seed, unsat, bound in [(1, False, 0), (3, False, 2), (3, True, 1)]:
+            inst = gen_lpn(LpnConfig(n=n, seed=seed, bound_offset=unsat))
+            assert inst.bound == bound
+            # a sequential counter at most b < m over the m corruption bits
+            # has (m-1)*b aux variables (none at b = 0); then each row XOR
+            # over w variables, its corruption bit included, is chained
+            # through w-3 aux variables when w > 3
+            card_lo = n + m + 1
+            xor_lo = card_lo + (m - 1) * bound
+            xor_end = xor_lo + sum(max(len(r.sol_vars) + 1 - 3, 0) for r in inst.rows)
+            assert xor_end == inst.formula.num_vars + 1
+            assert inst.var_order == (
+                list(range(card_lo, xor_lo))
+                + list(range(n + 1, n + m + 1))
+                + list(range(xor_lo, xor_end))
+                + list(range(1, n + 1))
+            )
 
     def test_golden_instance_byte_stable(self):
         inst = gen_lpn(LpnConfig(n=8, seed=42))

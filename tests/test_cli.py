@@ -275,6 +275,8 @@ ENGINE_FAILURES = [
     ProofEngineError("implication failure: 7 -> 9"),
     BddCapacityError("node id space exhausted"),
     AssertionError("model misses clause 1"),
+    # any other Exception is an internal failure too
+    KeyError("x"),
 ]
 
 
@@ -312,6 +314,38 @@ class TestEngineFailures:
         assert row["status"] == "ERROR"
         assert row["stop_reason"] == type(exc).__name__
         assert row["par2"] == pytest.approx(10.0)
+
+
+# argv of each command but solve, and the name in `xorcert` that it calls to
+# do its work; inputs go under `tmp`
+OTHER_COMMANDS = {
+    "check": (lambda tmp: ["check", write(tmp / "p.cnf", PAIRS_CNF),
+                           write(tmp / "p.lrat", "5 1 0 1 2 0\n6 0 5 3 4 0\n")],
+              "xorcert.cli.check"),
+    "gen": (lambda tmp: ["gen", "urquhart", "-m", "3", "-o", str(tmp / "u.cnf")],
+            "xorcert.benchgen.gen_urquhart"),
+    "bdd-dump": (lambda tmp: ["bdd-dump", write(tmp / "x.cnf", THREE_XOR_CNF)],
+                 "xorcert.bdd.Bdd.parity_bdd"),
+    "gj-trace": (lambda tmp: ["gj-trace", write(tmp / "x.cnf", THREE_XOR_CNF)],
+                 "xorcert.gauss.ParityEngine.dump"),
+}
+
+
+class TestInternalFailures:
+    # every command ends an internal failure in one diagnostic line and
+    # exit 1, not a traceback
+    @pytest.mark.parametrize("command", sorted(OTHER_COMMANDS))
+    def test_one_error_line(self, tmp_path, capsys, monkeypatch, command):
+        argv, target = OTHER_COMMANDS[command]
+
+        def boom(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(target, boom)
+        assert cli.main(argv(tmp_path)) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: RecursionError: maximum recursion depth exceeded\n"
+        assert out == ""
 
 
 # Run under `python -O`, which strips assert statements: a search that ends
@@ -462,6 +496,15 @@ UNLOADED = {
     "solve-urq": ["dataclasses", "inspect", "ast", "dis", "xorcert.benchgen"],
 }
 
+# runs `xorcert` on its arguments, then prints every loaded module's name
+PRINT_MODULES = (
+    "import sys\n"
+    "from xorcert import cli\n"
+    "rc = cli.main(sys.argv[1:])\n"
+    "print(' '.join(sorted(sys.modules)))\n"
+    "sys.exit(rc)\n"
+)
+
 
 class TestImportSets:
     @pytest.mark.parametrize("command", sorted(UNLOADED))
@@ -488,14 +531,7 @@ class TestImportSets:
                       "-o", cnf, "--var-order-out", order])
             argv = ["solve", cnf, "--var-order", order, "--proof", proof,
                     "--report", str(tmp_path / "report.jsonl")]
-        code = (
-            "import sys\n"
-            "from xorcert import cli\n"
-            "rc = cli.main(sys.argv[1:])\n"
-            "print(' '.join(sorted(sys.modules)))\n"
-            "sys.exit(rc)\n"
-        )
-        run = subprocess.run([sys.executable, "-c", code, *argv], env=src_env(),
+        run = subprocess.run([sys.executable, "-c", PRINT_MODULES, *argv], env=src_env(),
                              capture_output=True, text=True, timeout=60)
         assert run.returncode == (0 if command == "check" else 20), run.stderr
         loaded = set(run.stdout.splitlines()[-1].split())
@@ -508,6 +544,18 @@ class TestImportSets:
         if command == "solve-urq":
             assert "xorcert.tbdd" in loaded
             assert json.loads((tmp_path / "report.jsonl").read_text())["justifications"] == 1
+
+    def test_rejected_var_order_loads_no_bdd_module(self, tmp_path):
+        cnf = write(tmp_path / "p.cnf", PAIRS_CNF)
+        order = write(tmp_path / "bad.order", "x\n")
+        argv = ["solve", cnf, "--var-order", order]
+        run = subprocess.run([sys.executable, "-c", PRINT_MODULES, *argv], env=src_env(),
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1
+        assert run.stderr.startswith("error: bad variable order file: ")
+        loaded = set(run.stdout.split())
+        assert "xorcert.solver" in loaded
+        assert loaded.isdisjoint(["xorcert.bdd", "xorcert.tbdd"]), loaded
 
     def test_moved_names_keep_their_import_paths(self):
         from xorcert import bdd, lrat, tbdd

@@ -11,14 +11,25 @@ end-to-end metrics are printed as it finishes, then a table: per metric,
 each side's median and quartiles (exclusive method), the pairs the change
 won (ties count for neither side), the median change, and a verdict:
 
+- `worse`: the change's median is worse than the parent's by more than
+  the metric's bound;
+- `unresolved`: otherwise, when the parent's interquartile range is wider
+  than the metric's bound (relative to the parent's median), so the runs
+  spread too widely to tell, unless every change run beats every parent
+  run;
 - `gain`: the change won at least nine tenths of the pairs and its median
   beats the parent's by more than the parent's interquartile range;
-- `worse`: its median is worse than the parent's by more than the metric's
-  bound in this checkout's BENCHMARK.json;
-- `-`: neither.
+- `-`: none of these.
 
-Each metric's better direction and bound come from BENCHMARK.json; this
-script only calls perfbench and changes nothing in either checkout.
+Each metric's better direction and bound come from this checkout's
+BENCHMARK.json; a metric it does not list has no bound and is never
+`worse` or `unresolved`.  --out FILE also writes the table as one JSON
+object: workload, seed, pairs and seconds; each side's commit and source
+digest (`src_sha256`, which tells an uncommitted tree from its commit) and
+the machine, as perfbench's `# meta` line reports them; and per metric its
+better direction, bound, wins, verdict, and each side's median, quartiles
+and per-pair runs.  This script only calls perfbench and changes nothing in
+either checkout.
 """
 
 from __future__ import annotations
@@ -33,8 +44,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_bench(checkout, args) -> dict:
-    """The metrics of one perfbench run in `checkout`, name -> value."""
+def run_bench(checkout, args):
+    """(metrics, meta) of one perfbench run in `checkout`: metric name ->
+    value, and the run's `# meta` object ({} if it printed none)."""
     argv = [sys.executable, "perfbench/run.py", "--workload", args.workload,
             "--seed", str(args.seed), "--seconds", str(args.seconds)]
     run = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -46,7 +58,8 @@ def run_bench(checkout, args) -> dict:
     if result["failed"]:
         print(f"# {checkout}: {result['failed']} of {result['attempted']} instances failed",
               file=sys.stderr)
-    return {k: m["value"] for k, m in result["metrics"].items()}
+    meta = next((json.loads(l[len("# meta "):]) for l in lines if l.startswith("# meta ")), {})
+    return {k: m["value"] for k, m in result["metrics"].items()}, meta
 
 
 def quartiles(xs):
@@ -62,10 +75,13 @@ def verdict(parent, change, better, bound):
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     pm, cm = statistics.median(parent), statistics.median(change)
     q1, q3 = quartiles(parent)
-    if wins >= 0.9 * len(parent) and sign * (pm - cm) > q3 - q1:
-        return wins, "gain"
     if bound is not None and sign * (cm - pm) > bound * abs(pm):
         return wins, "worse"
+    beats_all = all(sign * (p - c) > 0 for p in parent for c in change)
+    if bound is not None and q3 - q1 > bound * abs(pm) and not beats_all:
+        return wins, "unresolved"
+    if wins >= 0.9 * len(parent) and sign * (pm - cm) > q3 - q1:
+        return wins, "gain"
     return wins, "-"
 
 
@@ -77,6 +93,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--out", metavar="FILE", help="also write the table here as JSON")
     args = ap.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     for path in sides.values():
@@ -89,28 +106,47 @@ def main(argv=None) -> int:
             spec = {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
     runs = {"parent": [], "change": []}
+    metas = {}
     for i in range(args.pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            values = run_bench(sides[side], args)
+            values, metas[side] = run_bench(sides[side], args)
             runs[side].append(values)
             print(f"# pair {i + 1} {side}: " + " ".join(
                 f"{k}={v:.4g}" for k, v in values.items()), flush=True)
 
     print(f"{'metric':<14} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30} "
           f"{'wins':>6} {'change':>8}  verdict")
+    metrics = {}
     for name in runs["parent"][0]:
-        parent = [r[name] for r in runs["parent"]]
-        change = [r[name] for r in runs["change"]]
         m = spec.get(name, {})
-        wins, word = verdict(parent, change, m.get("better", "lower"), m.get("bound"))
-        pm, cm = statistics.median(parent), statistics.median(change)
+        row = metrics[name] = {"better": m.get("better", "lower"), "bound": m.get("bound")}
         cells = []
-        for xs, med in ((parent, pm), (change, cm)):
+        for side in ("parent", "change"):
+            xs = [r[name] for r in runs[side]]
             q1, q3 = quartiles(xs)
-            cells.append(f"{med:.4g} [{q1:.4g}, {q3:.4g}]")
+            row[side] = {"median": statistics.median(xs), "q1": q1, "q3": q3, "runs": xs}
+            cells.append(f"{row[side]['median']:.4g} [{q1:.4g}, {q3:.4g}]")
+        row["wins"], row["verdict"] = verdict(row["parent"]["runs"], row["change"]["runs"],
+                                              row["better"], row["bound"])
+        pm, cm = row["parent"]["median"], row["change"]["median"]
         rel = f"{(cm - pm) / pm:+.1%}" if pm else "-"
-        print(f"{name:<14} {cells[0]:>30} {cells[1]:>30} {wins:>3}/{args.pairs:<2} "
-              f"{rel:>8}  {word}")
+        print(f"{name:<14} {cells[0]:>30} {cells[1]:>30} {row['wins']:>3}/{args.pairs:<2} "
+              f"{rel:>8}  {row['verdict']}")
+    if args.out:
+        first = metas.get("parent", {})
+        doc = {
+            "workload": args.workload,
+            "seed": args.seed,
+            "pairs": args.pairs,
+            "seconds": args.seconds,
+            **{side: {k: metas.get(side, {}).get(k) for k in ("commit", "src_sha256")}
+               for side in ("parent", "change")},
+            "machine": {k: first.get(k) for k in ("cpu", "nproc", "python")},
+            "metrics": metrics,
+        }
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
     return 0
 
 
