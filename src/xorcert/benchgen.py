@@ -18,10 +18,6 @@ from .formula import CnfFormula, ParityConstraint, xor_encoding_clauses
 MATCHING_ATTEMPTS = 100
 
 
-def _popcount_parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
 def _constraint_lines(constraints):
     """One manifest line per constraint: its variables, its phase and the
     first and last of its source clause ids."""
@@ -65,8 +61,6 @@ class UrqInstance:
     config: UrqConfig
     formula: CnfFormula
     constraints: list[ParityConstraint]
-    edges: list[tuple[int, int]]
-    num_nodes: int
 
     def manifest_lines(self):
         return _constraint_lines(self.constraints)
@@ -124,7 +118,7 @@ def gen_urquhart(cfg: UrqConfig) -> UrqInstance:
             ParityConstraint(vs, charges[node], tuple(range(first, len(clauses) + 1)))
         )
     f = CnfFormula(len(edges), clauses)
-    return UrqInstance(cfg, f, constraints, edges, n_nodes)
+    return UrqInstance(cfg, f, constraints)
 
 
 # -- noisy parity family ----------------------------------------------------
@@ -298,7 +292,7 @@ def lpn_oracle(inst: LpnInstance) -> str:
     for bits in range(1 << n):
         needed = 0
         for mask, phase in rows:
-            needed += _popcount_parity(bits & mask) ^ phase
+            needed += ((bits & mask).bit_count() & 1) ^ phase
             if needed > bound:
                 break
         if needed <= bound:

@@ -31,9 +31,14 @@ ERROR = "ERROR"
 
 
 def _diagnostic(e: BaseException) -> str:
-    """`error: <class>: <message>`, or `error: <class>` when the message is
-    empty, as a MemoryError's usually is."""
-    return f"error: {type(e).__name__}" + (f": {e}" if str(e) else "")
+    """`error: <class>: <message> (at <file>:<line>)`, without the `: <message>`
+    when it is empty, as a MemoryError's usually is; the place is the
+    innermost frame of the traceback."""
+    tb = e.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
+    return f"error: {type(e).__name__}" + (f": {e}" if str(e) else "") + f" (at {where})"
 
 
 def _check_timeout(timeout):
@@ -307,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """One failure rule for every command: a ValueError or OSError is an
     input error, `error: <message>`; any other Exception is an internal
-    failure, `error: <class>: <message>`.  Both exit 1 without a traceback."""
+    failure, `error: <class>: <message> (at <file>:<line>)`.  Both exit 1
+    without a traceback."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

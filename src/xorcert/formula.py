@@ -14,10 +14,6 @@ MAX_XOR_ARITY = 30  # 2**(k-1) encoding clauses; wider constraints are refused
 MAX_EXTRACT_ARITY = 6  # the widest XOR that extract_xors recovers
 
 
-def lit_var(lit: int) -> int:
-    return lit if lit > 0 else -lit
-
-
 class CnfFormula(NamedTuple):
     num_vars: int
     clauses: list[tuple[int, ...]]
@@ -110,7 +106,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                 pending = []
                 pending_seen = set()
                 continue
-            v = lit_var(lit)
+            v = abs(lit)
             if v > num_vars:
                 raise DimacsError(
                     f"line {lineno}: literal {lit} out of range (num_vars={num_vars})"
@@ -184,7 +180,7 @@ def extract_xors(f: CnfFormula) -> list[ParityConstraint]:
         k = len(cl)
         if k == 0 or k > MAX_EXTRACT_ARITY:
             continue
-        vs = tuple(sorted(lit_var(l) for l in cl))
+        vs = tuple(sorted(abs(l) for l in cl))
         if len(set(vs)) != k:
             continue
         mask = 0

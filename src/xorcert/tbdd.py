@@ -616,7 +616,6 @@ class TbddEngine:
             # raised, not asserted, so that `python -O` keeps the check
             raise ProofEngineError(f"double drop of the Tbdd rooted at {t.root}")
         t.dropped = True
-        if t.root not in (T0, T1):
-            self.bdd.deref(t.root)
+        self.bdd.deref(t.root)
         if t.unit_id and t.root != T0:
             self.pending_deletes.append(t.unit_id)

@@ -83,3 +83,29 @@ def test_add_digest_ignores_deletions(monkeypatch):
     first = bare.index(b"\n") + 1
     flipped = bare[:first] + bare[first:].replace(b" ", b" -", 1)
     assert fingerprint.add_digest(flipped, f.num_clauses) != digest
+
+
+def test_add_digest_skips_comment_lines():
+    f = gen_urquhart(UrqConfig(m=3, seed=1)).formula
+    sink = StringIO()
+    assert Solver(f, proof_sink=sink).solve().status == UNSAT
+    proof = sink.getvalue().encode()
+    first = proof.index(b"\n") + 1
+    commented = proof[:first] + b"c a comment between two steps\n" + proof[first:]
+    assert (fingerprint.add_digest(commented, f.num_clauses)
+            == fingerprint.add_digest(proof, f.num_clauses))
+
+
+def test_instances_run_through_the_harness_runner(monkeypatch, capsys):
+    # the line comes from the benchmark's own child runner, under LIMITS
+    calls = []
+    run = fingerprint.harness.Runner.run
+
+    def counting_run(self, inst, *args, **kwargs):
+        calls.append((inst.name, self.limits))
+        return run(self, inst, *args, **kwargs)
+
+    monkeypatch.setattr(fingerprint.harness.Runner, "run", counting_run)
+    assert fingerprint.main(["--instance", "urq:3:1"]) == 0
+    assert calls == [("urq-m3-s1", fingerprint.LIMITS)]
+    assert LINE.fullmatch(capsys.readouterr().out.strip())["check"] == "verified"

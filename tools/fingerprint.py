@@ -6,38 +6,36 @@ two versions of the solver search and prove alike.
     python3 tools/fingerprint.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Each instance is solved by `xorcert solve` in a child process, run from the
-sources in --src (default: this checkout's), with a proof file and a JSON
-report; an UNSAT proof is then checked by `xorcert check` from the same
-sources.  One line per instance gives its name, the report's search and
-proof counters (proof_deletes counts the ids deleted; ext_vars counts the
-BDD nodes created, each one extension variable), the check's verdict, the
-size in bytes and the sha256 of the proof file, and an add-step digest:
-the sha256 of the add steps alone, their ids renumbered consecutively
-after the input clauses and their hints remapped to match.
-Delete steps take ids too, so a change that moves only deletions changes
-the proof's sha256 but keeps its add-step digest.  A SAT line ends with the
-sha256 of the solver's `v` line, the model.
+Each instance is solved, and an UNSAT proof checked, by perfbench's child
+runner, `harness.Runner`, from the sources in --src (default: this
+checkout's), under LIMITS, which no default-set instance reaches.  One line
+per instance gives its name, the report's search and proof counters
+(proof_deletes counts the ids deleted; ext_vars counts the BDD nodes
+created, each one extension variable), the check's verdict, the size in
+bytes and the sha256 of the proof file, and an add-step digest: the sha256
+of the add steps alone, as `lrat.iter_proof` reads them, their ids
+renumbered consecutively after the input clauses and their hints remapped
+to match.  Delete steps take ids too, so a change that moves only
+deletions changes the proof's sha256 but keeps its add-step digest.  A SAT
+line ends with the sha256 of the solver's `v` line, the model.
 
 The default set is the 55 instances of the benchmark's three workloads at
 workload seed 1, each solved as perfbench solves it (with --var-order where
 the instance has an order, with --no-xor on lpn-clausal), then five
 default-order xor-mode solves: lpn n=6 seed 8, n=14 seed 77 and n=16
 seed 2, urq m=8 seed 8, and lpn n=12 seed 2, whose at-most-(k-1) bound is
-satisfiable.  Instances come from perfbench/workloads.py,
-which this script only imports.  --workload NAME (repeatable) keeps only
-the named workloads' lines of the default set.  --instance
-FAMILY:SIZE:SEED[:unsat] (repeatable) runs those default-order xor-mode
-solves instead.
+satisfiable.  Instances come from perfbench/workloads.py, which this
+script, like perfbench/harness.py, only imports.  --workload NAME
+(repeatable) keeps only the named workloads' lines of the default set.
+--instance FAMILY:SIZE:SEED[:unsat] (repeatable) runs those default-order
+xor-mode solves instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
-import subprocess
 import sys
 import tempfile
 
@@ -45,7 +43,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, ROOT)
 
-from perfbench import workloads  # noqa: E402
+from perfbench import harness, workloads  # noqa: E402
+from xorcert import lrat  # noqa: E402
 
 SEED = 1
 DEFAULT_ORDER = ("lpn:6:8:unsat", "lpn:14:77:unsat", "lpn:16:2:unsat", "urq:8:8",
@@ -55,7 +54,9 @@ FIELDS = (
     "proof_adds", "proof_deletes", "justifications", "ext_vars", "peak_bdd_nodes",
     "gc_collections",
 )
-TIMEOUT_S = 600
+# 600 s a child, the solver's own proof budget and a 1 EiB address-space cap
+LIMITS = harness.Limits(timeout_s=600, max_proof_clauses=lrat.DEFAULT_MAX_PROOF_CLAUSES,
+                        mem_mb=1 << 40)
 
 
 def add_digest(proof: bytes, num_inputs: int) -> str:
@@ -63,14 +64,11 @@ def add_digest(proof: bytes, num_inputs: int) -> str:
     renumbered num_inputs + k and every hint remapped to match."""
     renum: dict[int, int] = {}
     h = hashlib.sha256()
-    for line in proof.splitlines():
-        tok = line.split()
-        if not tok or tok[1] == b"d":
-            continue
-        new = renum[int(tok[0])] = num_inputs + 1 + len(renum)
-        end = tok.index(b"0", 1)
-        hints = (str(renum.get(int(x), int(x))).encode() for x in tok[end + 1:-1])
-        h.update(b" ".join([str(new).encode(), *tok[1:end], b"0", *hints, b"0"]) + b"\n")
+    for step in lrat.iter_proof(proof.splitlines()):
+        if isinstance(step, lrat.AddStep):
+            new = renum[step.id] = num_inputs + 1 + len(renum)
+            hints = [renum.get(x, x) for x in step.hints]
+            h.update(" ".join(map(str, (new, *step.lits, 0, *hints, 0))).encode() + b"\n")
     return h.hexdigest()
 
 
@@ -97,31 +95,19 @@ def spec_runs(texts):
 
 def fingerprint(label, inst, use_xor, src, workdir) -> str:
     """Solve (and check) one written instance; returns its line."""
-    env = dict(os.environ, PYTHONPATH=src)
-    cli = [sys.executable, "-m", "xorcert.cli"]
-    proof = os.path.join(workdir, f"{label}-{inst.name}.lrat")
-    report = proof[:-len(".lrat")] + ".report"
-    argv = cli + ["solve", inst.cnf_path, "--proof", proof, "--report", report]
-    if inst.order_path:
-        argv += ["--var-order", inst.order_path]
-    if not use_xor:
-        argv.append("--no-xor")
-    solved = subprocess.run(argv, env=env, stdout=subprocess.PIPE, text=True, timeout=TIMEOUT_S)
-    with open(report) as fh:
-        rep = json.loads(fh.readline())
+    runner = harness.Runner(sys.executable, src, workdir, LIMITS, use_xor)
+    o = runner.run(inst)
     verdict = "-"
-    if rep["status"] == "UNSAT":
-        run = subprocess.run(cli + ["check", inst.cnf_path, proof], env=env,
-                             stdout=subprocess.DEVNULL, timeout=TIMEOUT_S)
-        verdict = "verified" if run.returncode == 0 else f"exit-{run.returncode}"
-    with open(proof, "rb") as fh:
+    if o.check is not None:
+        verdict = "verified" if o.check.code == 0 else f"exit-{o.check.code}"
+    with open(runner.proof_path(inst), "rb") as fh:
         data = fh.read()
-    counters = " ".join(f"{k}={rep[k]}" for k in FIELDS)
+    counters = " ".join(f"{k}={o.report[k]}" for k in FIELDS)
     line = (f"{label}/{inst.name} {counters} check={verdict} "
             f"proof_bytes={len(data)} proof_sha256={hashlib.sha256(data).hexdigest()} "
             f"add_digest={add_digest(data, inst.formula.num_clauses)}")
-    if rep["status"] == "SAT":
-        (model,) = [l for l in solved.stdout.splitlines() if l.startswith("v ")]
+    if o.report["status"] == "SAT":
+        (model,) = [l for l in o.solve.stdout.splitlines() if l.startswith("v ")]
         line += f" model_sha256={hashlib.sha256(model.encode()).hexdigest()}"
     return line
 
