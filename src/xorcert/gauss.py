@@ -7,6 +7,8 @@ initial constraints whose GF(2) sum equals row i, which is what lets a
 proof layer rebuild any derived row from trusted inputs.  A column index,
 the transpose of the matrix kept as one bit set of rows per column, lets
 pivot search and elimination visit only the rows that hold a column.
+`full_reduce` leaves the rows in reduced row echelon form, or in the
+echelon form of its forward pass when a zero row of odd phase refutes them.
 
 The assignment is kept in the same packed form, as two column bit sets:
 the assigned columns and the True ones.  A row's free columns are then
@@ -105,24 +107,36 @@ class ParityEngine:
         self._add_row_into_set(pivot_row, self.col_rows[col] & ~(1 << pivot_row))
 
     def full_reduce(self, check_time=None):
-        """Reduced row echelon form; pivots taken column-by-column in the
-        fixed order, each from the eligible row with the fewest columns,
-        the lowest index on ties: a sparse pivot adds few columns to the
-        rows it is summed into.  The nonzero rows that result are those of
-        any other pivot rule, since the RREF is unique for a column order;
-        which row holds each, and its shadow, depend on the rule.
-        `check_time`, if given, is called before each pivot column and may
-        raise to stop the run."""
-        rows = self.rows
+        """Reduced row echelon form, unless the system is refuted.  Pivots
+        are taken column-by-column in the fixed order, each from the
+        non-pivot row with the fewest columns, the lowest index on ties: a
+        sparse pivot adds few columns to the rows it is summed into.  The
+        forward pass sums each pivot row only into the non-pivot rows of its
+        column, which leaves them all zero.  If one has odd phase, the
+        system is refuted and the rows stay in echelon form; else each pivot
+        row is summed into the other rows of its column, in reverse pivot
+        order.  The nonzero rows of the RREF are those of any other pivot
+        rule, since it is unique for a column order; which row holds each,
+        and its shadow, depend on the rule.  `check_time`, if given, is
+        called before each pivot of either pass and may raise to stop it."""
+        rows, col_rows = self.rows, self.col_rows
+        pivots = []  # (row, column), in pivot order
         pivot_rows = 0
-        for col in range(len(self.col_rows)):
-            eligible = self.col_rows[col] & ~pivot_rows
+        for col in range(len(col_rows)):
+            eligible = col_rows[col] & ~pivot_rows
             if not eligible:
                 continue
             if check_time is not None:
                 check_time()
             pr = min(bits(eligible), key=lambda r: rows[r].bit_count())
             pivot_rows |= 1 << pr
+            pivots.append((pr, col))
+            self._add_row_into_set(pr, eligible & ~(1 << pr))
+        if any(self.phases[r] for r in bits(((1 << len(rows)) - 1) & ~pivot_rows)):
+            return
+        for pr, col in reversed(pivots):
+            if check_time is not None:
+                check_time()
             self.eliminate_column(pr, col)
 
     # -- assignment bookkeeping ---------------------------------------------

@@ -19,7 +19,8 @@ which writes the empty clause, caches nothing), and the reason clause is
 emitted with a single hinted step before the step that hints it.  A record
 with a false first literal, or an empty one, is a conflict and is
 justified at once.  A top-level conflict closes the proof with the empty
-clause.
+clause.  Level-0 setup reads the parity rows before it builds the watch
+lists, so a zero row with odd phase refutes with no clause store built.
 
 State layout (MiniSat's): assignment, levels, reasons and watches live in
 flat lists, not dicts.  `lval[lit]` is True, False or None for every literal
@@ -157,8 +158,8 @@ class Solver:
         self.qhead = 0
         self.ghead = 0
         # clause store: a clause of two or more literals lives in the watch
-        # lists of its first two `w` entries
-        self.watches: list[list[_Clause]] = [[] for _ in range(2 * n + 1)]
+        # lists of its first two `w` entries; built by `_init_constraints`
+        self.watches: list[list[_Clause]] = []
         # heuristics
         self.activity = [0.0] * (n + 1)
         self.var_inc = 1.0
@@ -288,11 +289,12 @@ class Solver:
         module.
 
         An empty rec.clause (a zero row with odd phase) is the last
-        justification: its sum writes the empty clause.  Nothing can reuse
-        that sum's inputs, so each XOR not yet cached goes in as its bare
-        constraint: `greedy_sum` proves what it needs from the encoding
-        clauses when it first picks it, drops that once consumed and
-        collects with no floor, and `xor_tbdds` keeps none of it."""
+        justification: its sum writes the empty clause and reads only the
+        origin and the XORs, so the parity engine is released first.
+        Nothing can reuse that sum's inputs, so each XOR not yet cached goes
+        in as its bare constraint: `greedy_sum` proves what it needs from
+        the encoding clauses when it first picks it, drops that once
+        consumed and collects with no floor, and `xor_tbdds` keeps none."""
         from .gauss import bits
 
         if self.writer is None:
@@ -306,6 +308,7 @@ class Solver:
             self.tb = TbddEngine(self.order, self.writer, self.f.num_vars, self.f.clause,
                                  self._check_time)
         if not rec.clause:
+            self.par = None
             summed = self.tb.greedy_sum([self.xor_tbdds[i] or self.xors[i] for i in bits(rec.origin)])
         else:
             ent = self.row_sum.get(rec.row)
@@ -520,20 +523,23 @@ class Solver:
             raise DeadlineExceeded("deadline passed")
 
     def _init_constraints(self):
-        """Level-0 setup in one scan of the input clauses: watch each clause
-        of two or more literals, enqueue each unit, and close on an empty
-        clause or a complementary unit.  Then the parity rows that are
-        already empty or unit.  Returns UNSAT when refutation closes."""
-        for cid in range(1, self.f.num_clauses + 1):
-            cl = _Clause(self.f.clause(cid), cid)
-            lits = cl.clause
+        """Level-0 setup: enqueue each unit input clause, closing on an
+        empty clause or a complementary unit; then the parity rows that are
+        already empty or unit; then build the watch lists and watch each
+        clause of two or more literals, in clause id order.  Attaching reads
+        no assignment and nothing propagates before the search, so that
+        order leaves the search unchanged.  Returns UNSAT when refutation
+        closes."""
+        clause, num_clauses = self.f.clause, self.f.num_clauses
+        for cid in range(1, num_clauses + 1):
+            lits = clause(cid)
             if len(lits) >= 2:
-                self._attach(cl)
-            elif not lits or self.lval[lits[0]] is False:
+                continue
+            if not lits or self.lval[lits[0]] is False:
                 self._derive_empty(lits, cid)
                 return UNSAT
-            elif self.lval[lits[0]] is None:
-                self._enqueue(lits[0], cl)
+            if self.lval[lits[0]] is None:
+                self._enqueue(lits[0], _Clause(lits, cid))
         if self.par is not None:
             for rec in self.par.scan_all_rows():
                 confl = self._handle_record(rec)
@@ -543,6 +549,11 @@ class Solver:
                     if rec.clause:
                         self._derive_empty(*confl)
                     return UNSAT
+        self.watches = [[] for _ in range(len(self.lval))]
+        for cid in range(1, num_clauses + 1):
+            lits = clause(cid)
+            if len(lits) >= 2:
+                self._attach(_Clause(lits, cid))
         return None
 
     def _verify_model(self):

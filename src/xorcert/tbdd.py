@@ -30,7 +30,7 @@ from .bdd import _LEVEL_TERM, T0, T1, TRUE_SENTINEL, Bdd
 from .formula import ParityConstraint
 from .lrat import DeadlineExceeded  # re-exported: what check_time raises
 
-# slots of a node's defining clauses in TbddEngine.defs
+# slots of a node's defining steps' proof ids in TbddEngine.defs
 HD, LD, HU, LU = 0, 1, 2, 3
 
 # A collection runs once the table holds more than L + max(GC_MIN_GROWTH,
@@ -107,8 +107,8 @@ class TbddEngine:
         self.writer = writer
         self.input_clause = input_clause
         self.check_time = check_time
-        # node -> its (id, clause) defining steps by slot HD, LD, HU, LU;
-        # None where the clause is a tautology
+        # node -> the proof ids of its defining steps by slot HD, LD, HU, LU,
+        # None for a tautology; `_def_cand` rebuilds a clause when needed
         self.defs: dict[int, tuple] = {}
         self.and_imply_cache: dict[tuple[int, int, int], int] = {}
         self.pending_deletes: list[int] = []
@@ -132,16 +132,13 @@ class TbddEngine:
         add = self.writer.add
         shapes = ((-ref, -var, hi), (-ref, var, lo), (ref, -var, -hi), (ref, var, -lo))
         if hi == T1 or lo == T1 or lo == T0:  # hi is regular, so never T0
-            shapes = [_clean(cl) for cl in shapes]
-            self.defs[ref] = tuple(None if cl is None else (add(cl, ()), cl) for cl in shapes)
+            self.defs[ref] = tuple(None if cl is None else add(cl, ()) for cl in map(_clean, shapes))
         else:
-            self.defs[ref] = tuple((add(cl, ()), cl) for cl in shapes)
+            self.defs[ref] = tuple(add(cl, ()) for cl in shapes)
 
     def _reclaim_nodes(self, freed):
         for ref in freed:
-            for cand in self.defs.pop(ref):
-                if cand is not None:
-                    self.pending_deletes.append(cand[0])
+            self.pending_deletes.extend(pid for pid in self.defs.pop(ref) if pid is not None)
 
     def collect(self):
         """Reclaim unreferenced nodes, empty the lemma cache, deleting its
@@ -201,12 +198,24 @@ class TbddEngine:
     def _def_cand(self, u, role):
         """The (id, clause) step of u's defining clause in slot `role`, None
         for a terminal or a tautology.  A complemented handle -n reads n's
-        clause of the opposite direction: HD of -n is HU of n, LD of -n is
-        LU of n, and the reverse."""
+        step of the opposite direction: HD of -n is HU of n, LD of -n is LU
+        of n, and the reverse.  The clause is rebuilt from the node as
+        `_register_node` wrote it, without a false terminal."""
+        n = u if u > 0 else -u
+        d = self.defs.get(n)
+        if d is None:
+            return None
         if u < 0:
-            u, role = -u, role ^ 2
-        d = self.defs.get(u)
-        return None if d is None else d[role]
+            role ^= 2
+        pid = d[role]
+        if pid is None:
+            return None
+        lvl, hi, lo = self.bdd.nodes[n]
+        x = self.bdd.var_at[lvl]
+        # HD [-n, -x, hi], LD [-n, x, lo], HU [n, -x, -hi], LU [n, x, -lo]
+        sign = 1 if role & 2 else -1
+        cl = (sign * n, x, -sign * lo) if role & 1 else (sign * n, -x, -sign * hi)
+        return pid, cl if cl[2] != T0 else cl[:2]
 
     @staticmethod
     def _unit_cand(t: Tbdd):

@@ -93,12 +93,13 @@ class TestSolveExitCodes:
         assert "s UNKNOWN" in capsys.readouterr().out
 
     def test_timeout_bounds_parity_preparation(self, tmp_path, capsys):
-        # urq m=12 spends its whole refutation in XOR builds and parity sums
-        # before any search; it took 6.7 s and answered UNSAT when only the
-        # search loop looked at the deadline
-        cnf = str(tmp_path / "u12.cnf")
-        proof = tmp_path / "u12.lrat"
-        assert cli.main(["gen", "urquhart", "-m", "12", "--seed", "13", "-o", cnf]) == 0
+        # urq m=24 spends its whole refutation, several times the timeout,
+        # in parity preparation, XOR builds and parity sums before any
+        # search; it would answer UNSAT if only the search loop looked at
+        # the deadline
+        cnf = str(tmp_path / "u24.cnf")
+        proof = tmp_path / "u24.lrat"
+        assert cli.main(["gen", "urquhart", "-m", "24", "--seed", "24", "-o", cnf]) == 0
         t0 = time.monotonic()
         rc = cli.main(["solve", cnf, "--timeout", "1", "--proof", str(proof)])
         dt = time.monotonic() - t0

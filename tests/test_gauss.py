@@ -152,6 +152,16 @@ class TestRowAlgebra:
         cons = small_system(rng)
         eng = ParityEngine(cons, column_vars=rng.sample(range(1, 7), 6) if shuffled else None)
         eng.full_reduce()
+        if refuted(eng):
+            # echelon form: a pivot column is held by its pivot row and by
+            # pivot rows of earlier columns only
+            piv = pivots(eng)
+            for pr, col in piv.items():
+                holders = [r for r in range(len(eng.rows)) if eng.rows[r] >> col & 1]
+                assert all(r == pr or piv[r] < col for r in holders)
+            for r in range(len(eng.rows)):
+                assert semantic_row(cons, eng, r) == row_constraint(eng, r)
+            back_substitute(eng)
         for pr, col in pivots(eng).items():
             holders = [r for r in range(len(eng.rows)) if eng.rows[r] >> col & 1]
             assert holders == [pr]
@@ -170,11 +180,36 @@ class TestRowAlgebra:
                 add_row_into(eng, *rng.sample(range(n), 2))
         want = reference_full_reduce(eng)
         eng.full_reduce()
+        rows, phases, shadow, _ = want
+        assert ([(r, eng.phases[r], eng.shadow[r]) for r in range(n) if not eng.rows[r]]
+                == [(r, phases[r], shadow[r]) for r in range(n) if not rows[r]])
+        if refuted(eng):
+            back_substitute(eng)
         assert (eng.rows, eng.phases, eng.shadow, pivots(eng)) == want
         assert eng.col_rows == [
             sum(1 << r for r in range(n) if eng.rows[r] >> c & 1)
             for c in range(len(eng.var_of_col))
         ]
+
+    @pytest.mark.parametrize("phase", [1, 0])
+    def test_refuted_system_is_not_back_substituted(self, monkeypatch, phase):
+        # x1+x2, x2+x3 and x1+x3 sum to the zero row of phase `phase`: odd
+        # refutes it and the forward pass stops there; even back-substitutes
+        cons = [ParityConstraint((1, 2), 1), ParityConstraint((2, 3), 0),
+                ParityConstraint((1, 3), phase ^ 1)]
+        eng = ParityEngine(cons)
+        eliminate = ParityEngine.eliminate_column
+        back = []
+
+        def logged(self, pivot_row, col):
+            back.append((pivot_row, col))
+            eliminate(self, pivot_row, col)
+
+        monkeypatch.setattr(ParityEngine, "eliminate_column", logged)
+        eng.full_reduce()
+        assert refuted(eng) == bool(phase)
+        assert back == ([] if phase else [(1, 1), (0, 0)])
+        assert row_constraint(eng, 2) == ParityConstraint((), phase)
 
     @pytest.mark.parametrize("system", ["urq-m5", "random"])
     def test_sparsest_pivots_reach_the_lowest_index_rref(self, system):
@@ -187,16 +222,32 @@ class TestRowAlgebra:
         eng = ParityEngine(cons)
         rows, phases, _, lowest_pivots = reference_full_reduce(eng, sparsest=False)
         eng.full_reduce()
+        if refuted(eng):  # urq m=5 is, and stays in echelon form
+            back_substitute(eng)
         assert pivots(eng) != lowest_pivots
         assert ({(m, ph) for m, ph in zip(eng.rows, eng.phases) if m}
                 == {(m, ph) for m, ph in zip(rows, phases) if m})
 
 
 def pivots(eng):
-    """Row -> pivot column, read off the rows after `full_reduce`: in
-    reduced row echelon form each nonzero row's pivot is its lowest column,
-    and every other row is zero."""
+    """Row -> pivot column, read off the rows after `full_reduce`: in the
+    echelon form of its forward pass, and so in reduced row echelon form,
+    each nonzero row's pivot is its lowest column, and every other row is
+    zero."""
     return {r: (m & -m).bit_length() - 1 for r, m in enumerate(eng.rows) if m}
+
+
+def refuted(eng):
+    """Whether a row is zero with odd phase, a 0=1 row."""
+    return any(ph and not m for m, ph in zip(eng.rows, eng.phases))
+
+
+def back_substitute(eng):
+    """Finish the echelon form that `full_reduce` leaves on a refuted
+    system: each pivot row summed into the other rows of its column, in
+    reverse pivot order."""
+    for pr, col in sorted(pivots(eng).items(), key=lambda item: -item[1]):
+        eng.eliminate_column(pr, col)
 
 
 def reference_full_reduce(eng, sparsest=True):

@@ -439,6 +439,27 @@ class TestTwoWatchedLiterals:
         assert len(s.attached) > inst.formula.num_clauses
 
 
+class TestLevelZeroRefutation:
+    def test_closing_sum_holds_no_engine_and_no_clause_store(self, monkeypatch):
+        # urq m=5 is refuted by its zero row of odd phase before any search:
+        # its one sum, the closing one, reads only the row's origin and the
+        # XORs, so the parity engine is gone and no watch list is built
+        f = gen_urquhart(UrqConfig(m=5, seed=5)).formula
+        sink = StringIO()
+        s = Solver(f, proof_sink=sink)
+        greedy = tbdd.TbddEngine.greedy_sum
+        during = []
+
+        def logged(eng, items):
+            during.append((s.par, s.watches))
+            return greedy(eng, items)
+
+        monkeypatch.setattr(tbdd.TbddEngine, "greedy_sum", logged)
+        assert s.solve().status == UNSAT
+        assert during == [(None, [])]
+        assert check(f, parse_proof(sink.getvalue())).ok
+
+
 class TestLimits:
     def test_timeout_yields_limit(self):
         f = TestSearchMachinery().hard_unsat()
@@ -448,24 +469,26 @@ class TestLimits:
 
     def test_timeout_stops_full_reduce(self, monkeypatch):
         # four independent rows, so the reduction takes four pivot columns;
-        # a fake clock passes the deadline during the first elimination
+        # a fake clock passes the deadline during the first elimination, the
+        # forward pass summing row 0 (x1 + x2) into row 3 (x1 + x3 + x4),
+        # the other holder of x1
         clauses = []
         for vs, ph in [((1, 2), 1), ((2, 3), 1), ((1, 3, 4), 0), ((3, 4), 1)]:
             clauses += xor_encoding_clauses(ParityConstraint(vs, ph))
         now = [0.0]
         monkeypatch.setattr(solver.time, "monotonic", lambda: now[0])
-        eliminate = gauss.ParityEngine.eliminate_column
-        pivots = []
+        add_into = gauss.ParityEngine._add_row_into_set
+        sums = []
 
-        def expire(self, pivot_row, col):
-            eliminate(self, pivot_row, col)
-            pivots.append(col)
+        def expire(self, src, dsts):
+            add_into(self, src, dsts)
+            sums.append((src, dsts))
             now[0] = 10.0
 
-        monkeypatch.setattr(gauss.ParityEngine, "eliminate_column", expire)
+        monkeypatch.setattr(gauss.ParityEngine, "_add_row_into_set", expire)
         r = Solver(CnfFormula(4, clauses), timeout=1.0).solve()
         assert (r.status, r.stop_reason) == (LIMIT, "timeout")
-        assert pivots == [0]
+        assert sums == [(0, 0b1000)]
 
     def test_proof_budget_yields_limit_and_wellformed_prefix(self):
         clauses = []

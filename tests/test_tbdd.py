@@ -371,7 +371,7 @@ class TestFromXor:
             assert len([s for s in adds if s.hints]) <= 2 ** k - 1
             deleted = {i for s in steps if isinstance(s, DeleteStep) for i in s.ids}
             live = {s.id for s in adds} - deleted
-            defs = {c[0] for entry in bench.engine.defs.values() for c in entry if c}
+            defs = {pid for entry in bench.engine.defs.values() for pid in entry if pid is not None}
             assert live == defs | {t.unit_id}
 
     def test_wrong_sign_clause_raises(self):
@@ -911,6 +911,27 @@ class TestComplementEdges:
                 cand = eng._def_cand(u, role)
                 assert cand == eng._def_cand(-u, role ^ 2)
                 assert set(cand[1]) == set(shape)
+
+    def test_defs_hold_proof_ids_and_rebuild_the_written_clauses(self):
+        # a node keeps the ids of its four defining steps, None for a
+        # tautology; `_def_cand` rebuilds each clause as the proof wrote it
+        p, q = ParityConstraint((1, 2, 3), 1), ParityConstraint((3, 4), 0)
+        bench = Bench(CnfFormula(4, xor_encoding_clauses(p) + xor_encoding_clauses(q)))
+        eng = bench.engine
+        tp, tq = eng.tbdd_from_xor(sourced(p, 1, 4)), eng.tbdd_from_xor(sourced(q, 5, 2))
+        s = eng.tbdd_xor_sum(tp, tq)
+        eng.tbdd_justify_clause(s, (1, 2, 4))
+        written = {st.id: st.lits for st in parse_proof(bench.buf.getvalue())
+                   if isinstance(st, AddStep)}
+        assert eng.defs
+        for n, entry in eng.defs.items():
+            assert len(entry) == 4
+            assert all(pid is None or type(pid) is int for pid in entry)
+            for role, pid in enumerate(entry):
+                for u, slot in ((n, role), (-n, role ^ 2)):
+                    cand = eng._def_cand(u, slot)
+                    assert cand == (None if pid is None else (pid, written[pid]))
+        bench.verify()
 
     def test_complemented_root_justifies_and_survives_collect(self):
         # x1 ^ x2 ^ x3 == 0 has a complemented root under any order
